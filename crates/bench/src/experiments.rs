@@ -1861,10 +1861,16 @@ pub fn baseline(opts: &ReproOptions) -> Table {
 mod tests {
     use super::*;
 
+    /// Quick options with an output directory of this test's own (pid
+    /// plus test name).
     fn tiny() -> ReproOptions {
+        let thread = std::thread::current();
+        let test = thread.name().unwrap_or("main").replace("::", "-");
         ReproOptions {
             quick: true,
-            out_dir: std::env::temp_dir().join("wfp-bench-test"),
+            out_dir: std::env::temp_dir()
+                .join("wfp-bench-test")
+                .join(format!("{}-{test}", std::process::id())),
         }
     }
 

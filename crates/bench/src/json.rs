@@ -121,9 +121,13 @@ mod tests {
 
     #[test]
     fn emit_writes_the_file() {
-        let dir = std::env::temp_dir().join("wfp-bench-json-test");
+        // pid plus test name: concurrent test processes never share it
+        let dir = std::env::temp_dir()
+            .join("wfp-bench-json-test")
+            .join(format!("{}-emit", std::process::id()));
         emit(&dir, false, &sample_entries());
         let body = std::fs::read_to_string(dir.join(BENCH_JSON_FILE)).unwrap();
         assert!(body.contains("\"mode\": \"full\""));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1434,8 +1434,15 @@ mod tests {
     use super::*;
     use wfp_model::fixtures::{paper_run, paper_spec};
 
+    /// A path in this test's own directory, named from the pid and the
+    /// test's thread name: parallel tests, and parallel test processes,
+    /// never write the same file.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("wfp-cli-tests");
+        let thread = std::thread::current();
+        let test = thread.name().unwrap_or("main").replace("::", "-");
+        let dir = std::env::temp_dir()
+            .join("wfp-cli-tests")
+            .join(format!("{}-{test}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir.join(name)
     }

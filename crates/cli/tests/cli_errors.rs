@@ -9,8 +9,15 @@ use std::process::{Command, Output};
 use wfp_model::fixtures::{paper_run, paper_spec};
 use wfp_model::io::{run_to_xml, spec_to_xml};
 
+/// A path in this test's own directory, named from the pid and the
+/// test's thread name: parallel tests, and parallel test processes, never
+/// write the same file.
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("wfp-cli-bin-tests");
+    let thread = std::thread::current();
+    let test = thread.name().unwrap_or("main").replace("::", "-");
+    let dir = std::env::temp_dir()
+        .join("wfp-cli-bin-tests")
+        .join(format!("{}-{test}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }

@@ -90,6 +90,16 @@ pub enum FleetError {
     /// A [`LiveRun`] built over a *different* [`SpecContext`] was offered
     /// for registration; its memo and skeleton are not this fleet's.
     ForeignContext,
+    /// A probe names a vertex the run does not have (not executed yet, for
+    /// an in-flight run).
+    VertexOutOfRange {
+        /// The (valid) run the vertex was looked up in.
+        run: RunId,
+        /// The out-of-range vertex.
+        vertex: RunVertexId,
+        /// The run's vertex count: valid vertices are `0..len`.
+        len: usize,
+    },
     /// The run is registered, but it has no item with this index (used by
     /// item-keyed layers such as `wfp_provenance`'s fleet index).
     UnknownItem {
@@ -114,6 +124,9 @@ impl std::fmt::Display for FleetError {
             FleetError::NotLive(r) => write!(f, "{r} is frozen, not in-flight"),
             FleetError::ForeignContext => {
                 write!(f, "live run belongs to a different specification context")
+            }
+            FleetError::VertexOutOfRange { run, vertex, len } => {
+                write!(f, "{run} has no vertex {vertex} (it has {len})")
             }
             FleetError::UnknownItem { run, item } => {
                 write!(f, "{run} has no data item #{item}")
@@ -147,6 +160,18 @@ enum Slot<'s, S> {
     FrozenPacked(PackedRunHandle),
     Live(Box<LiveRun<'s, S>>),
     Evicted,
+}
+
+impl<S: SpecIndex> Slot<'_, S> {
+    /// Executed vertices of the run in this slot (0 for a tombstone).
+    fn vertex_count(&self) -> usize {
+        match self {
+            Slot::Frozen(h) => h.vertex_count(),
+            Slot::FrozenPacked(h) => h.vertex_count(),
+            Slot::Live(l) => l.vertex_count(),
+            Slot::Evicted => 0,
+        }
+    }
 }
 
 /// Shared-vs-duplicated accounting plus aggregate decision counters for
@@ -407,12 +432,26 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
 
     /// Executed-vertex count of a registered run.
     pub fn vertex_count(&self, run: RunId) -> Result<usize, FleetError> {
-        Ok(match self.slot(run)? {
-            Slot::Frozen(h) => h.vertex_count(),
-            Slot::FrozenPacked(h) => h.vertex_count(),
-            Slot::Live(l) => l.vertex_count(),
-            Slot::Evicted => unreachable!("slot() filtered"),
-        })
+        Ok(self.slot(run)?.vertex_count())
+    }
+
+    /// [`slot`](Self::slot) for a probe `u ⇝ v`, which must also name two
+    /// vertices of the run: an out-of-range id is a typed
+    /// [`FleetError::VertexOutOfRange`] here, before it can reach a
+    /// kernel's range assert.
+    fn probe_slot(
+        &self,
+        run: RunId,
+        u: RunVertexId,
+        v: RunVertexId,
+    ) -> Result<&Slot<'s, S>, FleetError> {
+        let slot = self.slot(run)?;
+        let len = slot.vertex_count();
+        if u.index().max(v.index()) < len {
+            return Ok(slot);
+        }
+        let vertex = if u.index() >= len { u } else { v };
+        Err(FleetError::VertexOutOfRange { run, vertex, len })
     }
 
     // ---------------- probes -------------------------------------------
@@ -420,7 +459,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
     /// Whether `u ⇝ v` within `run` — the scalar entry point
     /// (allocation-free for frozen runs).
     pub fn answer(&self, run: RunId, u: RunVertexId, v: RunVertexId) -> Result<bool, FleetError> {
-        Ok(match self.slot(run)? {
+        Ok(match self.probe_slot(run, u, v)? {
             Slot::Frozen(h) => {
                 let (ans, path) = crate::engine::answer_one(h.columns(), &self.ctx, u, v);
                 match path {
@@ -442,15 +481,16 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         })
     }
 
-    /// Groups probe indexes by run slot, validating every id up front (a
-    /// batch containing one bad id fails as a whole, before any work).
+    /// Groups probe indexes by run slot, validating every run and vertex
+    /// id up front (a batch containing one bad id fails as a whole, before
+    /// any work).
     fn group(
         &self,
         probes: &[(RunId, RunVertexId, RunVertexId)],
     ) -> Result<Vec<(usize, Vec<usize>)>, FleetError> {
         let mut per_slot: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
-        for (i, &(run, _, _)) in probes.iter().enumerate() {
-            self.slot(run)?; // validate
+        for (i, &(run, u, v)) in probes.iter().enumerate() {
+            self.probe_slot(run, u, v)?; // validate
             per_slot[run.index()].push(i);
         }
         Ok(per_slot
@@ -973,10 +1013,12 @@ impl<'s> FleetEngine<'s, SpecScheme> {
 
     /// [`load_shared`](Self::load_shared) minus the per-payload CRC pass
     /// ([`snapshot::SnapshotReader`]'s trusted parse): for callers that
-    /// can attest this *identical* buffer already passed a fully-validated
-    /// load — the registry rebinding a retained `Arc` on an
-    /// evict→reload cycle of an unmodified fleet, where the reload then
-    /// costs O(segments) instead of O(bytes).
+    /// can attest this *identical* buffer already passed a full
+    /// [`snapshot::SnapshotReader::parse`] — the registry rebinding a
+    /// retained `Arc` on an evict→reload cycle of an unmodified fleet,
+    /// where the reload then costs O(segments) instead of O(bytes), and
+    /// the registry binding a fetched buffer it checksummed before budget
+    /// pressure ran.
     pub(crate) fn load_shared_trusted(
         bytes: Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
@@ -1149,6 +1191,28 @@ mod tests {
         ));
         assert!(fleet.answer(live, a, c).unwrap());
         assert_eq!(fleet.stats().live, 1);
+
+        // a vertex the live run has not executed yet, and one past a
+        // frozen run's end, are typed errors on both entry points
+        let unexecuted = RunVertexId(3);
+        assert!(matches!(
+            fleet.answer(live, a, unexecuted),
+            Err(FleetError::VertexOutOfRange { run, vertex, len: 3 })
+                if run == live && vertex == unexecuted
+        ));
+        let past = RunVertexId(paper.vertex_count() as u32);
+        assert!(matches!(
+            fleet.answer_batch(&[(live, a, c), (frozen, past, pv("a1"))]),
+            Err(FleetError::VertexOutOfRange { run, vertex, .. })
+                if run == frozen && vertex == past
+        ));
+        assert!(FleetError::VertexOutOfRange {
+            run: live,
+            vertex: unexecuted,
+            len: 3
+        }
+        .to_string()
+        .contains("no vertex r3"));
     }
 
     #[test]

@@ -290,6 +290,36 @@ fn validate_file_name(file: &str) -> Result<(), FormatError> {
 }
 
 // ====================================================================
+// Snapshot file I/O
+// ====================================================================
+
+/// Reads a whole file into one shared buffer, sized from its metadata
+/// and filled in place: one allocation and one copy, where
+/// `Arc::from(fs::read(..))` makes two of each. A file that changes
+/// length while it is read is an error, never a short or silently
+/// extended buffer.
+fn read_shared(path: &Path) -> std::io::Result<Arc<[u8]>> {
+    use std::io::{Error, ErrorKind, Read};
+    let mut file = std::fs::File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| Error::new(ErrorKind::InvalidData, "file exceeds the address space"))?;
+    let mut bytes: Arc<[u8]> = std::iter::repeat(0).take(len).collect();
+    file.read_exact(Arc::get_mut(&mut bytes).expect("a fresh Arc is unshared"))?;
+    if file.read(&mut [0])? != 0 {
+        return Err(Error::new(ErrorKind::InvalidData, "file grew while it was read"));
+    }
+    Ok(bytes)
+}
+
+/// `fs::write` with the failure reported as a [`RegistryError::Io`].
+fn write_file(path: &Path, bytes: &[u8]) -> Result<(), RegistryError> {
+    std::fs::write(path, bytes).map_err(|e| RegistryError::Io {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    })
+}
+
+// ====================================================================
 // The registry
 // ====================================================================
 
@@ -341,7 +371,7 @@ struct Slot<'s> {
     /// The exact buffer a previous fault-in fully validated. When the
     /// next fetch returns this *identical* `Arc` (memory store, clean
     /// cycle), the reload may skip the per-payload CRC pass — rebind, not
-    /// re-read. Directory stores drop this on offload: a file can change
+    /// re-read. Directory stores never set it: a file can change
     /// underneath us, so it is always re-read and re-checked.
     validated: Option<Arc<[u8]>>,
     /// Logical LRU stamp: higher = more recently used.
@@ -925,36 +955,31 @@ impl<'s> ServiceRegistry<'s> {
         })?;
         let mut entries = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
-            let (bytes, runs): (Arc<[u8]>, usize) = match &slot.state {
-                State::Resident { fleet, graph } => (
-                    Arc::from(fleet.save(graph).map_err(|error| RegistryError::Fleet {
+            let path = dir.join(&slot.file);
+            let (bytes, runs) = match &slot.state {
+                State::Resident { fleet, graph } => {
+                    let bytes = fleet.save(graph).map_err(|error| RegistryError::Fleet {
                         spec: slot.id,
                         error,
-                    })?),
-                    fleet.run_count(),
-                ),
-                State::Offloaded => (self.fetch(slot)?, slot.runs),
+                    })?;
+                    write_file(&path, &bytes)?;
+                    (bytes.len(), fleet.run_count())
+                }
+                State::Offloaded => {
+                    let bytes = self.fetch(slot)?;
+                    write_file(&path, &bytes)?;
+                    (bytes.len(), slot.runs)
+                }
             };
-            let path = dir.join(&slot.file);
-            std::fs::write(&path, &bytes).map_err(|e| RegistryError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
             entries.push(ManifestEntry {
                 id: slot.id,
                 kind: slot.kind,
                 file: slot.file.clone(),
                 runs,
-                bytes: bytes.len(),
+                bytes,
             });
         }
-        let manifest_path = dir.join(MANIFEST_FILE);
-        std::fs::write(&manifest_path, write_manifest(&entries)).map_err(|e| {
-            RegistryError::Io {
-                path: manifest_path.clone(),
-                message: e.to_string(),
-            }
-        })
+        write_file(&dir.join(MANIFEST_FILE), &write_manifest(&entries))
     }
 
     // ---------------- internals ----------------
@@ -1007,12 +1032,6 @@ impl<'s> ServiceRegistry<'s> {
             return Ok(());
         }
         let bytes = self.fetch(&self.slots[idx])?;
-        // with the snapshot bytes in hand, make room *before* the fleet
-        // faults in, using its size estimate (manifest-seeded, reconciled
-        // on every load/offload): the LRU byte math must see the incoming
-        // load, not discover it afterwards — and a fetch that failed above
-        // never evicted anyone
-        self.reserve(idx)?;
         // pointer identity with a buffer this registry fully validated
         // earlier attests the content unchanged, so the reload may skip
         // the per-payload checksum pass and just rebind
@@ -1021,12 +1040,21 @@ impl<'s> ServiceRegistry<'s> {
             .as_ref()
             .is_some_and(|v| Arc::ptr_eq(v, &bytes));
         let started = Instant::now();
-        let (fleet, graph, profile) = if trusted {
-            FleetEngine::load_shared_trusted(Arc::clone(&bytes))?
-        } else {
-            FleetEngine::load_shared(Arc::clone(&bytes))?
-        };
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        if !trusted {
+            // the checksum pass runs before anyone is evicted: a torn,
+            // grown or bit-flipped file fails here and costs no healthy
+            // fleet its residency
+            SnapshotReader::parse(&bytes)?;
+        }
+        let mut elapsed = started.elapsed();
+        // with checked bytes in hand, make room *before* the fleet faults
+        // in, using its size estimate (manifest-seeded, reconciled on
+        // every load/offload): the LRU byte math must see the incoming
+        // load, not discover it afterwards
+        self.reserve(idx)?;
+        let started = Instant::now();
+        let (fleet, graph, profile) = FleetEngine::load_shared_trusted(Arc::clone(&bytes))?;
+        elapsed += started.elapsed();
         let loaded = SpecId::of(fleet.context().skeleton().kind(), &graph);
         let slot = &mut self.slots[idx];
         if loaded != slot.id {
@@ -1050,11 +1078,16 @@ impl<'s> ServiceRegistry<'s> {
         let st = fleet.stats();
         slot.est_bytes = st.spec_bytes + st.run_bytes;
         slot.state = State::Resident { fleet, graph };
-        slot.validated = Some(Arc::clone(&bytes));
+        // only the memory store hands the same buffer back; a directory
+        // fetch is always a fresh read, so retaining its bytes would only
+        // pin a second copy of every decoded fleet
+        if let Store::Memory(_) = self.store {
+            slot.validated = Some(bytes);
+        }
         slot.dirty = false;
         self.lazy_loads += 1;
         self.reload_bytes += profile.bytes as u64;
-        self.decode_ms += elapsed_ms;
+        self.decode_ms += elapsed.as_secs_f64() * 1e3;
         if profile.zero_copy_runs > 0 && profile.decoded_runs == 0 {
             self.zero_copy_loads += 1;
         }
@@ -1066,7 +1099,8 @@ impl<'s> ServiceRegistry<'s> {
     /// Reads `slot`'s snapshot bytes from the backing store. The memory
     /// store hands out its shared buffer (preserving pointer identity for
     /// the trusted-rebind check in [`touch`](Self::touch)); the directory
-    /// store reads the file into a fresh shared allocation.
+    /// store reads the file straight into a fresh shared allocation
+    /// ([`read_shared`]).
     fn fetch(&self, slot: &Slot<'s>) -> Result<Arc<[u8]>, RegistryError> {
         match &self.store {
             Store::Memory(map) => {
@@ -1079,7 +1113,7 @@ impl<'s> ServiceRegistry<'s> {
             }
             Store::Dir(dir) => {
                 let path = dir.join(&slot.file);
-                std::fs::read(&path).map(Arc::from).map_err(|e| {
+                read_shared(&path).map_err(|e| {
                     if e.kind() == std::io::ErrorKind::NotFound {
                         RegistryError::MissingSnapshot {
                             spec: slot.id,
@@ -1118,12 +1152,6 @@ impl<'s> ServiceRegistry<'s> {
             slot.saved_counters = Some(fleet.slot_counters());
             slot.runs = fleet.run_count();
             slot.est_bytes = st.spec_bytes + st.run_bytes;
-            if matches!(self.store, Store::Dir(_)) {
-                // a directory can change under us between offload and
-                // reload; drop the attestation so the fault-in re-reads
-                // and re-checksums the file
-                slot.validated = None;
-            }
             slot.state = State::Offloaded;
             self.evictions += 1;
             return Ok(());
@@ -1133,28 +1161,20 @@ impl<'s> ServiceRegistry<'s> {
                 unreachable!("checked resident above");
             };
             let st = fleet.stats();
-            let bytes: Arc<[u8]> = Arc::from(
-                fleet
-                    .save(graph)
-                    .map_err(|error| RegistryError::Fleet { spec, error })?,
-            );
+            let bytes = fleet
+                .save(graph)
+                .map_err(|error| RegistryError::Fleet { spec, error })?;
             (bytes, fleet.run_count(), st.spec_bytes + st.run_bytes)
         };
         match &mut self.store {
             Store::Memory(map) => {
+                let bytes: Arc<[u8]> = Arc::from(bytes);
                 map.insert(spec.0, Arc::clone(&bytes));
                 // our own serialization just went in: the next fault-in of
                 // this exact buffer may skip the per-payload checksum pass
                 self.slots[idx].validated = Some(bytes);
             }
-            Store::Dir(dir) => {
-                let path = dir.join(&self.slots[idx].file);
-                std::fs::write(&path, &bytes).map_err(|e| RegistryError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-                self.slots[idx].validated = None;
-            }
+            Store::Dir(dir) => write_file(&dir.join(&self.slots[idx].file), &bytes)?,
         }
         let slot = &mut self.slots[idx];
         slot.runs = runs;
@@ -1773,6 +1793,42 @@ mod tests {
             loads_before,
             "the healthy fleet stayed resident — no reload needed"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot file that grew by one byte after its save fails its
+    /// fault-in with a typed error *before* budget pressure runs: no
+    /// healthy fleet is evicted to make room for a load that cannot
+    /// succeed.
+    #[test]
+    fn grown_snapshot_fails_its_fault_in_without_evicting() {
+        use std::io::Write;
+        let spec = paper_spec();
+        let (reg, ids, _) = build_registry(&spec, None);
+        let dir = tmp("grown-snapshot");
+        reg.save_dir(&dir).unwrap();
+        let mut reg = ServiceRegistry::open_dir(&dir, None).unwrap();
+        reg.ensure_resident(ids[0]).unwrap();
+        // room for A alone: B's fault-in would have to evict A
+        reg.set_budget(Some(reg.resident_bytes())).unwrap();
+
+        let path = dir.join(ids[1].file_name());
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(&[0]).unwrap();
+        drop(file);
+        assert!(matches!(
+            reg.ensure_resident(ids[1]),
+            Err(RegistryError::Format(FormatError::TrailingBytes {
+                extra: 1
+            }))
+        ));
+        assert!(reg.resident(ids[0]), "the healthy fleet stays resident");
+        assert!(!reg.resident(ids[1]));
+        assert_eq!(reg.stats().evictions, 0);
+        assert_eq!(reg.stats().lazy_loads, 1, "only A's load counts");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

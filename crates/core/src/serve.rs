@@ -1528,6 +1528,7 @@ fn record_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::FleetError;
     use crate::label::LabeledRun;
     use wfp_model::fixtures::{paper_run, paper_spec};
     use wfp_speclabel::SpecScheme;
@@ -1831,6 +1832,39 @@ mod tests {
         assert_eq!(got, want, "the healthy neighbor is unaffected");
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.probes_failed, 1);
+    }
+
+    #[test]
+    fn out_of_range_vertex_fails_alone_and_the_shard_keeps_serving() {
+        const KINDS: &[SchemeKind] = &[SchemeKind::Tcm];
+        let server = paper_server(ServeConfig::default(), KINDS);
+        let (ids, n) = server.context().clone();
+        let handle = server.handle();
+        let good = (ids[0], RunId(0), RunVertexId(0), RunVertexId(1));
+        let want = handle.probe_vec(vec![good]).unwrap();
+        // one bad vertex id: a typed registry error, not a poisoned shard
+        let bad = (ids[0], RunId(0), RunVertexId(0), RunVertexId(n as u32));
+        assert!(matches!(
+            handle.probe_vec(vec![bad]),
+            Err(ServeError::Registry(e)) if matches!(
+                &*e,
+                RegistryError::Fleet {
+                    error: FleetError::VertexOutOfRange { vertex, len, .. },
+                    ..
+                } if vertex.index() == n && *len == n
+            )
+        ));
+        // the same shard answers the next good request and types the next
+        // bad run id
+        assert_eq!(handle.probe_vec(vec![good]).unwrap(), want);
+        let bad_run = (ids[0], RunId(99), RunVertexId(0), RunVertexId(0));
+        assert!(matches!(
+            handle.probe_vec(vec![bad_run]),
+            Err(ServeError::Registry(e))
+                if matches!(&*e, RegistryError::Fleet { error: FleetError::UnknownRun(_), .. })
+        ));
+        let stats = server.shutdown().unwrap();
+        assert_eq!(stats.probes_failed, 2);
     }
 
     #[test]

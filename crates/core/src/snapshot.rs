@@ -28,6 +28,17 @@
 //!   (`wfp-provenance`'s fleet index) append their own kinds to the same
 //!   container.
 //!
+//! Reloading a fleet costs one read of its file plus one checksum pass
+//! over the bytes: aligned packed segments bind zero-copy, so there is no
+//! decode pass to hide the checksum behind. [`crc32`] runs three
+//! independent slicing-by-16 chains over equal stripes of a buffer and
+//! folds them with the GF(2) CRC combine (a multiply by x^(8n) mod P, from
+//! a `const` table of x^(2^k)), so one chain's lookup latency no longer
+//! bounds it; its values are the standard CRC-32, whichever kernel runs.
+//! The registry reads a directory snapshot straight into the `Arc<[u8]>`
+//! that `FleetEngine::load_shared` binds: one allocation and one copy per
+//! fault-in.
+//!
 //! Integrity vs. trust: the CRCs detect *corruption* (a torn page, a bad
 //! disk), not tampering — a snapshot is trusted state, like the database
 //! page the paper stores labels in. Untrusted *structure* (lengths, counts,
@@ -172,6 +183,10 @@ impl std::error::Error for FormatError {}
 // CRC-32 (IEEE), dependency-free
 // ====================================================================
 
+/// The IEEE polynomial in the reflected bit order the CRC register uses
+/// (bit 31 holds the coefficient of x^0).
+const POLY: u32 = 0xEDB8_8320;
+
 /// Slicing-by-16 lookup tables: `TABLES[0]` is the classic byte-at-a-time
 /// table, `TABLES[k][j]` advances `j` through `k` further zero bytes.
 const fn crc_tables() -> [[u32; 256]; 16] {
@@ -181,7 +196,7 @@ const fn crc_tables() -> [[u32; 256]; 16] {
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             bit += 1;
         }
         tables[0][i] = c;
@@ -202,38 +217,116 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 
 static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-segment checksum.
-/// Slicing-by-16: snapshot loads checksum megabytes of label columns, and
-/// with zero-copy binds (no decode pass) this checksum *is* the fault-in
-/// cost, so the two 8-byte lanes per iteration buy real reload latency.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// `a · b mod P` over GF(2), both operands and the result reflected.
+const fn mul_mod_p(mut a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    while a != 0 {
+        if a & (1 << 31) != 0 {
+            product ^= b;
+        }
+        a <<= 1;
+        // b · x: the x^31 coefficient (bit 0) wraps around through P
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    product
+}
+
+/// `X2N[k]` = x^(2^k) mod P. The powers repeat with period 32
+/// (x^(2^32) ≡ x mod P), so 32 squares cover every length.
+const X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mul_mod_p(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+/// x^(8·len) mod P: multiplying a CRC register by it advances the
+/// register past `len` zero bytes.
+fn x8n_mod_p(mut len: usize) -> u32 {
+    let mut power = 1 << 31; // x^0
+    let mut k = 3; // bit i of len weighs x^(8·2^i) = x^(2^(i+3))
+    while len != 0 {
+        if len & 1 != 0 {
+            power = mul_mod_p(X2N[k % 32], power);
+        }
+        len >>= 1;
+        k += 1;
+    }
+    power
+}
+
+/// One slicing-by-16 step: folds the 16 bytes of `chunk` into the raw
+/// register `c`.
+#[inline(always)]
+fn step16(c: u32, chunk: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let lo = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")) ^ c as u64;
+    let hi = u64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
+    t[15][(lo & 0xFF) as usize]
+        ^ t[14][((lo >> 8) & 0xFF) as usize]
+        ^ t[13][((lo >> 16) & 0xFF) as usize]
+        ^ t[12][((lo >> 24) & 0xFF) as usize]
+        ^ t[11][((lo >> 32) & 0xFF) as usize]
+        ^ t[10][((lo >> 40) & 0xFF) as usize]
+        ^ t[9][((lo >> 48) & 0xFF) as usize]
+        ^ t[8][(lo >> 56) as usize]
+        ^ t[7][(hi & 0xFF) as usize]
+        ^ t[6][((hi >> 8) & 0xFF) as usize]
+        ^ t[5][((hi >> 16) & 0xFF) as usize]
+        ^ t[4][((hi >> 24) & 0xFF) as usize]
+        ^ t[3][((hi >> 32) & 0xFF) as usize]
+        ^ t[2][((hi >> 40) & 0xFF) as usize]
+        ^ t[1][((hi >> 48) & 0xFF) as usize]
+        ^ t[0][(hi >> 56) as usize]
+}
+
+/// The serial kernel: one slicing-by-16 dependency chain over `bytes`,
+/// from and to the raw register (no pre- or post-inversion).
+fn crc_update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        let lo = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")) ^ c as u64;
-        let hi = u64::from_le_bytes(chunk[8..].try_into().expect("8 bytes"));
-        c = t[15][(lo & 0xFF) as usize]
-            ^ t[14][((lo >> 8) & 0xFF) as usize]
-            ^ t[13][((lo >> 16) & 0xFF) as usize]
-            ^ t[12][((lo >> 24) & 0xFF) as usize]
-            ^ t[11][((lo >> 32) & 0xFF) as usize]
-            ^ t[10][((lo >> 40) & 0xFF) as usize]
-            ^ t[9][((lo >> 48) & 0xFF) as usize]
-            ^ t[8][(lo >> 56) as usize]
-            ^ t[7][(hi & 0xFF) as usize]
-            ^ t[6][((hi >> 8) & 0xFF) as usize]
-            ^ t[5][((hi >> 16) & 0xFF) as usize]
-            ^ t[4][((hi >> 24) & 0xFF) as usize]
-            ^ t[3][((hi >> 32) & 0xFF) as usize]
-            ^ t[2][((hi >> 40) & 0xFF) as usize]
-            ^ t[1][((hi >> 48) & 0xFF) as usize]
-            ^ t[0][(hi >> 56) as usize];
+        c = step16(c, chunk);
     }
     for &b in chunks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes` — the per-segment checksum.
+///
+/// Snapshot loads checksum megabytes of label columns, and with
+/// zero-copy binds (no decode pass) this checksum *is* the fault-in cost.
+/// One slicing-by-16 chain is bound by its own latency, so buffers of 48
+/// bytes and more run three independent chains over equal stripes (each
+/// a whole number of 16-byte steps) and fold them with the GF(2) CRC
+/// combine: `crc(A‖B) = crc(A) · x^(8·|B|) ⊕ crc(B)` on raw registers. The
+/// value is the standard CRC-32, identical to the serial kernel's.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let stripe = bytes.len() / 48 * 16;
+    if stripe == 0 {
+        return !crc_update(!0, bytes);
+    }
+    let (a, rest) = bytes.split_at(stripe);
+    let (b, rest) = rest.split_at(stripe);
+    let (c, tail) = rest.split_at(stripe);
+    let (mut ca, mut cb, mut cc) = (!0u32, 0u32, 0u32);
+    for ((x, y), z) in a
+        .chunks_exact(16)
+        .zip(b.chunks_exact(16))
+        .zip(c.chunks_exact(16))
+    {
+        ca = step16(ca, x);
+        cb = step16(cb, y);
+        cc = step16(cc, z);
+    }
+    let shift = x8n_mod_p(stripe);
+    let joined = mul_mod_p(shift, mul_mod_p(shift, ca) ^ cb) ^ cc;
+    !crc_update(joined, tail)
 }
 
 // ====================================================================
@@ -444,8 +537,9 @@ impl<'a> SnapshotReader<'a> {
     /// length) still runs; only the payload checksums are skipped. For
     /// callers that can attest the *identical* buffer already passed a
     /// full [`parse`](Self::parse) — e.g. the registry rebinding a
-    /// retained `Arc` it validated on a previous fault-in — so a reload
-    /// of an unmodified fleet costs O(segments), not O(bytes).
+    /// retained `Arc` it validated on a previous fault-in, so a reload
+    /// of an unmodified fleet costs O(segments), not O(bytes), or binding
+    /// a buffer it checksummed itself before making room for it.
     pub(crate) fn parse_trusted(bytes: &'a [u8]) -> Result<Self, FormatError> {
         Self::parse_with(bytes, false)
     }
@@ -748,6 +842,73 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // 48 bytes and up take the striped path
+        let long = b"123456789".repeat(8);
+        assert_eq!(crc32(&long), 0x8811_A440);
+    }
+
+    /// The serial kernel: the oracle the striped `crc32` must match.
+    fn crc32_serial(bytes: &[u8]) -> u32 {
+        !crc_update(!0, bytes)
+    }
+
+    /// Deterministic xorshift64 bytes.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn striped_crc32_matches_the_serial_kernel_at_every_short_length() {
+        let bytes = noise(256, 0x9E37_79B9_7F4A_7C15);
+        for len in 0..=256 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_serial(&bytes[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn striped_crc32_matches_the_serial_kernel_on_large_odd_offsets() {
+        const MAX: usize = 2 << 20;
+        let buf = noise(MAX + 64, 0x2545_F491_4F6C_DD1D);
+        let mut state = 0x1234_5678_9ABC_DEF1u64;
+        let mut lens: Vec<usize> = vec![MAX, MAX - 1, 48 * 1000 + 47];
+        for _ in 0..6 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            lens.push((state % MAX as u64) as usize);
+        }
+        for (i, len) in lens.into_iter().enumerate() {
+            let offset = 2 * (i % 32) + 1;
+            let slice = &buf[offset..offset + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_serial(slice),
+                "{len} bytes at +{offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn x2n_table_has_period_32() {
+        // x8n_mod_p reduces its table index mod 32; that is sound only if
+        // squaring the last entry wraps around to x^1
+        assert_eq!(mul_mod_p(X2N[31], X2N[31]), X2N[0]);
+        // and the power moves a register past zero bytes
+        let zeros = [0u8; 100];
+        for c in [1u32, 0xDEAD_BEEF, !0] {
+            assert_eq!(mul_mod_p(x8n_mod_p(100), c), crc_update(c, &zeros));
+        }
     }
 
     #[test]

@@ -27,7 +27,9 @@ fn main() {
     );
 
     // ---- XML round trip through real files -----------------------------
-    let dir = std::env::temp_dir().join("wfp-serialization-example");
+    // one directory per process, so concurrent runs never share files
+    let dir =
+        std::env::temp_dir().join(format!("wfp-serialization-example-{}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     let spec_path = dir.join("qblast-spec.xml");
     let run_path = dir.join("qblast-run.xml");
@@ -67,6 +69,5 @@ fn main() {
     println!("packed labels decode losslessly");
 
     // clean up
-    let _ = fs::remove_file(spec_path);
-    let _ = fs::remove_file(run_path);
+    let _ = fs::remove_dir_all(&dir);
 }
