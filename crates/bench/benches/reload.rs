@@ -1,9 +1,8 @@
 //! Criterion bench: zero-copy snapshot fault-in (the PR 10 tentpole) —
-//! the PR 7 decode path (aligned columns unpacked into owned words)
-//! against the validated zero-copy bind and the registry's trusted
-//! rebind under evict→reload churn, plus probe throughput through the
-//! borrowed view vs resident owned columns. `repro -- reload` produces
-//! the committed table; this bench is the fast regression guard.
+//! the validated zero-copy bind and the registry's trusted rebind under
+//! evict→reload churn, plus probe throughput through the reloaded view.
+//! `repro -- reload` produces the committed table; this bench is the fast
+//! regression guard.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,7 +14,7 @@ use wfp_graph::rng::Xoshiro256;
 use wfp_model::RunVertexId;
 use wfp_skl::fleet::{FleetEngine, RunId};
 use wfp_skl::{label_run, ServiceRegistry, SpecId};
-use wfp_speclabel::SchemeKind;
+use wfp_speclabel::{SchemeKind, SpecScheme};
 
 fn bench_reload(c: &mut Criterion) {
     let (generated, snapshots) = reload_workload(true);
@@ -26,11 +25,17 @@ fn bench_reload(c: &mut Criterion) {
     // reload a pointer rebind of the retained buffer
     let mut registry = ServiceRegistry::new();
     let mut ids: Vec<SpecId> = Vec::with_capacity(generated.specs.len());
+    let spec0 = &generated.specs[0];
+    let mut raw_fleet =
+        FleetEngine::for_spec(spec0, SpecScheme::build(SchemeKind::ALL[0], spec0.graph()));
     for (i, (spec, gens)) in generated.specs.iter().zip(&generated.fleets).enumerate() {
         let id = registry.register_spec(spec, SchemeKind::ALL[i]).unwrap();
         for g in gens {
             let (labels, _) = label_run(spec, &g.run).unwrap();
             registry.register_labels(id, &labels).unwrap();
+            if i == 0 {
+                raw_fleet.register_labels(&labels);
+            }
         }
         registry.seal_packed(id).unwrap();
         ids.push(id);
@@ -40,7 +45,7 @@ fn bench_reload(c: &mut Criterion) {
         registry.ensure_resident(id).unwrap();
     }
 
-    // probe traffic over spec 0, answered through owned columns and the view
+    // probe traffic over spec 0, answered through the raw labels and the view
     let books: Vec<(RunId, usize)> = generated.fleets[0]
         .iter()
         .enumerate()
@@ -58,25 +63,17 @@ fn bench_reload(c: &mut Criterion) {
             )
         })
         .collect();
-    let (owned_fleet, _) = FleetEngine::load(&snapshots[0]).unwrap();
     let (view_fleet, _, profile) = FleetEngine::load_shared(Arc::clone(&arcs[0])).unwrap();
     assert!(profile.zero_copy_runs > 0 && profile.decoded_runs == 0);
     assert_eq!(
         view_fleet.answer_batch(&probes).unwrap(),
-        owned_fleet.answer_batch(&probes).unwrap(),
+        raw_fleet.answer_batch(&probes).unwrap(),
     );
 
     let mut group = c.benchmark_group("reload");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
 
-    group.bench_function("fault-in/decode-owned-columns", |b| {
-        b.iter(|| {
-            for bytes in &snapshots {
-                black_box(FleetEngine::load(bytes).unwrap());
-            }
-        })
-    });
     group.bench_function("fault-in/zero-copy-bind", |b| {
         b.iter(|| {
             for arc in &arcs {
@@ -92,9 +89,6 @@ fn bench_reload(c: &mut Criterion) {
             }
             black_box(registry.stats().lazy_loads)
         })
-    });
-    group.bench_function("probe/owned-columns", |b| {
-        b.iter(|| black_box(owned_fleet.answer_batch(&probes).unwrap().len()))
     });
     group.bench_function("probe/borrowed-view", |b| {
         b.iter(|| black_box(view_fleet.answer_batch(&probes).unwrap().len()))

@@ -10,7 +10,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wfp_bench::experiments::{serving_workload, sharded_serving_server, SERVING_SHARDS};
-use wfp_skl::{serve, Probe, ServeConfig, ServiceRegistry};
+use wfp_skl::{Probe, ServeConfig};
 
 fn bench_serving(c: &mut Criterion) {
     const CLIENTS: usize = 4;
@@ -25,18 +25,7 @@ fn bench_serving(c: &mut Criterion) {
         queue_cap: 1024,
         threads: 1,
     };
-    let single_payload = std::sync::Arc::clone(&payload);
-    let server = serve(config, move || {
-        let mut registry: ServiceRegistry<'static> = ServiceRegistry::new();
-        for (spec, kind, labeled) in single_payload.iter() {
-            let id = registry.register_spec(spec, *kind)?;
-            for labels in labeled {
-                registry.register_labels(id, labels)?;
-            }
-        }
-        Ok((registry, ()))
-    })
-    .unwrap();
+    let server = sharded_serving_server(config, 1, std::sync::Arc::clone(&payload));
     let sharded = sharded_serving_server(config, SERVING_SHARDS, payload);
 
     let mut group = c.benchmark_group("serving");

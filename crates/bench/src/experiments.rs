@@ -1254,14 +1254,13 @@ pub fn reload_workload(quick: bool) -> (wfp_gen::GeneratedRegistry, Vec<Vec<u8>>
 }
 
 /// Snapshot reload (the PR 10 tentpole): the same sealed-packed fleets
-/// faulted in three ways — the PR 7 decode path (every aligned column
-/// unpacked into owned storage), the zero-copy fault-in (full container
-/// validation, then the query engine binds the load buffer), and the
+/// faulted in two ways — the zero-copy fault-in (full container
+/// validation, then the query engine binds the load buffer) and the
 /// registry's trusted rebind (evict→reload churn of unmodified fleets
 /// through the memory store, where pointer identity lets the reload skip
-/// even the per-payload checksum pass). Probe throughput through the
-/// borrowed view is measured against resident owned columns, with answers
-/// asserted byte-identical.
+/// even the per-payload checksum pass). Probe throughput is measured
+/// through the reloaded views, with answers asserted byte-identical to
+/// the raw labels.
 pub fn reload(opts: &ReproOptions) -> Table {
     use std::sync::Arc;
     use wfp_skl::{ServiceRegistry, SpecId};
@@ -1269,12 +1268,6 @@ pub fn reload(opts: &ReproOptions) -> Table {
     let m = snapshots.len();
     let total_bytes: usize = snapshots.iter().map(Vec::len).sum();
     let reps = 5 * opts.time_reps();
-
-    let decode_ms = time_ms(reps, || {
-        for bytes in &snapshots {
-            std::hint::black_box(FleetEngine::load(bytes).unwrap());
-        }
-    });
 
     let arcs: Vec<Arc<[u8]>> = snapshots.iter().map(|b| Arc::from(b.as_slice())).collect();
     let fault_ms = time_ms(reps, || {
@@ -1288,11 +1281,15 @@ pub fn reload(opts: &ReproOptions) -> Table {
     // is a pointer rebind of the retained buffer
     let mut registry = ServiceRegistry::new();
     let mut ids: Vec<SpecId> = Vec::with_capacity(m);
+    let mut raw_labels = Vec::new();
     for (i, (spec, gens)) in generated.specs.iter().zip(&generated.fleets).enumerate() {
         let id = registry.register_spec(spec, SchemeKind::ALL[i]).unwrap();
         for g in gens {
             let (labels, _) = label_run(spec, &g.run).unwrap();
             registry.register_labels(id, &labels).unwrap();
+            if i == 0 {
+                raw_labels.push(labels);
+            }
         }
         registry.seal_packed(id).unwrap();
         ids.push(id);
@@ -1313,8 +1310,8 @@ pub fn reload(opts: &ReproOptions) -> Table {
         "an all-packed reload fell off the zero-copy path"
     );
 
-    // probe parity: borrowed views must answer byte-identically to owned
-    // packed columns at comparable throughput
+    // probe parity: the reloaded views answer byte-identically to the raw
+    // labels they were packed from
     let books: Vec<(RunId, usize)> = generated.fleets[0]
         .iter()
         .enumerate()
@@ -1332,21 +1329,22 @@ pub fn reload(opts: &ReproOptions) -> Table {
             )
         })
         .collect();
-    let (owned_fleet, _) = FleetEngine::load(&snapshots[0]).unwrap();
+    let spec = &generated.specs[0];
+    let mut raw_fleet =
+        FleetEngine::for_spec(spec, SpecScheme::build(SchemeKind::ALL[0], spec.graph()));
+    for labels in &raw_labels {
+        raw_fleet.register_labels(labels);
+    }
     let (view_fleet, _, profile) = FleetEngine::load_shared(Arc::clone(&arcs[0])).unwrap();
     assert!(
         profile.zero_copy_runs > 0 && profile.decoded_runs == 0,
         "the shared load decoded instead of binding"
     );
-    let want = owned_fleet.answer_batch(&probes).unwrap();
     assert_eq!(
         view_fleet.answer_batch(&probes).unwrap(),
-        want,
-        "borrowed view diverged from owned columns"
+        raw_fleet.answer_batch(&probes).unwrap(),
+        "reloaded views diverged from the raw labels"
     );
-    let owned_ms = time_ms(opts.time_reps(), || {
-        std::hint::black_box(owned_fleet.answer_batch(&probes).unwrap());
-    });
     let view_ms = time_ms(opts.time_reps(), || {
         std::hint::black_box(view_fleet.answer_batch(&probes).unwrap());
     });
@@ -1359,37 +1357,19 @@ pub fn reload(opts: &ReproOptions) -> Table {
             total_bytes as f64 / (1024.0 * 1024.0),
             probes.len(),
         ),
-        &[
-            "fault-in path",
-            "reload ms (all fleets)",
-            "vs decode",
-            "probe q/s",
-            "vs owned",
-        ],
+        &["fault-in path", "reload ms (all fleets)", "probe q/s"],
     );
-    t.row(vec![
-        "decoded columns (PR 7 path)".to_string(),
-        format!("{decode_ms:.2}"),
-        "1.00".to_string(),
-        format!("{:.0}", qps(owned_ms)),
-        "1.00".to_string(),
-    ]);
     t.row(vec![
         "zero-copy bind (validated)".to_string(),
         format!("{fault_ms:.2}"),
-        format!("{:.2}", decode_ms / fault_ms),
         format!("{:.0}", qps(view_ms)),
-        format!("{:.2}", qps(view_ms) / qps(owned_ms)),
     ]);
     t.row(vec![
         "trusted rebind (registry churn)".to_string(),
         format!("{rebind_ms:.2}"),
-        format!("{:.2}", decode_ms / rebind_ms),
-        "—".to_string(),
         "—".to_string(),
     ]);
-    t.note("answers asserted byte-identical: borrowed views vs owned columns over the probe set;");
-    t.note("decode = parse container + unpack every aligned column into owned words (PR 7 cost),");
+    t.note("answers asserted byte-identical: reloaded views vs raw labels over the probe set;");
     t.note("zero-copy = parse + CRC the container, then bind the query engine to the load buffer,");
     t.note("rebind = registry evict→reload of an unmodified fleet (pointer identity skips payload CRCs);");
     t.note(format!(
@@ -1558,7 +1538,7 @@ fn drive_clients(
 /// asserted byte-identical to the direct call.
 pub fn serving(opts: &ReproOptions) -> Table {
     use std::time::Duration;
-    use wfp_skl::{serve, ServeConfig, ServiceRegistry};
+    use wfp_skl::ServeConfig;
 
     const CLIENTS: usize = 4;
     const PER_REQUEST: usize = 64;
@@ -1580,22 +1560,11 @@ pub fn serving(opts: &ReproOptions) -> Table {
     };
     let requests: Vec<_> = traffic.chunks(PER_REQUEST).collect();
 
-    // --- single dispatch thread, depth-1 round trips (the PR 8 shape) ---
-    let single_payload = std::sync::Arc::clone(&payload);
-    let server = serve(config, move || {
-        let mut registry: ServiceRegistry<'static> = ServiceRegistry::new();
-        for (spec, kind, labeled) in single_payload.iter() {
-            let id = registry.register_spec(spec, *kind)?;
-            for labels in labeled {
-                registry.register_labels(id, labels)?;
-            }
-        }
-        Ok((registry, ()))
-    })
-    .unwrap();
+    // --- one shard (a single dispatch thread), depth-1 round trips ---
+    let server = sharded_serving_server(config, 1, std::sync::Arc::clone(&payload));
     let (served_flat, served_s) = drive_clients(&server.handle(), &requests, CLIENTS, 1);
     assert_eq!(served_flat, expected, "served loop diverged from answer_batch");
-    let stats = server.shutdown().unwrap();
+    let stats = server.shutdown().unwrap().merged;
     assert_eq!(stats.probes_answered, probes_total as u64);
     assert_eq!(stats.probes_failed, 0);
 
@@ -1712,10 +1681,10 @@ pub fn serving(opts: &ReproOptions) -> Table {
 /// paths are asserted byte-identical before anything is timed. The last
 /// columns report what packing buys at rest: the fleet snapshot size with
 /// raw [`seg::RUN_COLUMNS`] segments versus bit-packed
-/// [`seg::PACKED_COLUMNS`] segments for the identical fleet.
+/// [`seg::PACKED_COLUMNS_ALIGNED`] segments for the identical fleet.
 ///
 /// [`seg::RUN_COLUMNS`]: wfp_skl::snapshot::seg::RUN_COLUMNS
-/// [`seg::PACKED_COLUMNS`]: wfp_skl::snapshot::seg::PACKED_COLUMNS
+/// [`seg::PACKED_COLUMNS_ALIGNED`]: wfp_skl::snapshot::seg::PACKED_COLUMNS_ALIGNED
 pub fn kernel(opts: &ReproOptions) -> Table {
     let (spec, run, pairs) = throughput_workload(opts.quick);
     let mut t = Table::new(

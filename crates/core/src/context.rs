@@ -46,7 +46,7 @@ use wfp_speclabel::SpecIndex;
 
 use crate::engine::SoaLabels;
 use crate::label::RunLabel;
-use crate::packed::{PackedColumns, PackedStore};
+use crate::packed::{PackedColumnsView, PackedStore};
 
 /// Cell states of the warm snapshot tier.
 const MEMO_UNKNOWN: u8 = 0;
@@ -475,15 +475,14 @@ impl std::fmt::Debug for RunHandle {
 }
 
 /// A [`RunHandle`] whose label columns stay bit-packed
-/// ([`PackedStore`]): the packed-resident form a fleet serves when a
-/// run is sealed cold ([`crate::fleet::FleetEngine::seal_packed`]) or the
-/// registry's packed tier compresses it under memory pressure. The store
-/// is either decoded heap frames ([`PackedColumns`]) or a zero-copy view
-/// into a shared snapshot buffer ([`crate::PackedColumnsView`]). Queries
-/// decode inside the sweep kernel's gather — answers and counters are
-/// byte-identical to the raw handle, at a fraction of the footprint.
+/// ([`PackedColumnsView`]): the packed-resident form a fleet serves when a
+/// run is sealed cold ([`crate::fleet::FleetEngine::seal_packed`]) or
+/// loaded from a packed snapshot. A sealed run owns its packed buffer; a
+/// loaded one shares the snapshot's load buffer. Queries decode inside the
+/// sweep kernel's gather — answers and counters are byte-identical to the
+/// raw handle, at a fraction of the footprint.
 pub struct PackedRunHandle {
-    cols: PackedStore,
+    cols: PackedColumnsView,
     context_only: AtomicU64,
     skeleton_queries: AtomicU64,
 }
@@ -492,19 +491,16 @@ impl PackedRunHandle {
     /// Packs a raw run handle, carrying its decision counters over so
     /// fleet statistics stay continuous across a seal.
     pub fn pack(handle: &RunHandle) -> Self {
-        let packed = Self::from_columns(PackedColumns::pack(handle.columns()));
+        let view = PackedColumnsView::pack(handle.columns());
+        let packed = Self::from_store(PackedStore::View(view));
         packed.count(handle.context_only(), handle.skeleton_queries());
         packed
     }
 
-    /// Wraps already-packed owned columns (fresh counters — the snapshot
-    /// layer restores persisted counters separately).
-    pub fn from_columns(cols: PackedColumns) -> Self {
-        Self::from_store(PackedStore::Owned(cols))
-    }
-
-    /// Wraps either resident form of packed columns (fresh counters).
+    /// Wraps packed columns (fresh counters — the snapshot layer restores
+    /// persisted counters separately).
     pub fn from_store(cols: PackedStore) -> Self {
+        let PackedStore::View(cols) = cols;
         PackedRunHandle {
             cols,
             context_only: AtomicU64::new(0),
@@ -525,8 +521,8 @@ impl PackedRunHandle {
         self.cols.len()
     }
 
-    /// The packed label columns (owned or zero-copy).
-    pub fn columns(&self) -> &PackedStore {
+    /// The packed label columns.
+    pub fn columns(&self) -> &PackedColumnsView {
         &self.cols
     }
 
@@ -552,7 +548,7 @@ impl PackedRunHandle {
         self.skeleton_queries.fetch_add(skeleton, Ordering::Relaxed);
     }
 
-    /// Approximate heap footprint in bytes: the packed frames.
+    /// Approximate resident footprint in bytes: the packed payload.
     pub fn memory_bytes(&self) -> usize {
         self.cols.memory_bytes()
     }

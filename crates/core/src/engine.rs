@@ -494,7 +494,7 @@ pub(crate) fn answer_one<S: SpecIndex>(
 
 /// A column store the sweep kernel can gather lanes from. Implemented by
 /// the raw [`SoaColumns`] (direct column loads) and by the bit-packed
-/// [`crate::packed::PackedColumns`] (shift-and-mask decode of the same
+/// [`crate::packed::PackedColumnsView`] (shift-and-mask decode of the same
 /// lanes) — both run the identical two-phase kernel, which is what
 /// makes the packed-resident serving path answer byte-identically.
 pub(crate) trait ColumnGather {

@@ -57,6 +57,7 @@ use crate::engine::{answer_into, sweep_into_slice, EngineStats};
 use crate::label::{LabeledRun, RunLabel};
 use crate::live::LiveRun;
 use crate::online::OnlineError;
+use crate::packed::{PackedColumnsView, PackedStore};
 use crate::snapshot;
 
 /// Identifier of a run registered in a [`FleetEngine`]. Ids are assigned
@@ -198,9 +199,9 @@ pub struct FleetStats {
     pub spec_bytes_if_per_run: usize,
     /// Bytes of per-run label columns across all active runs.
     pub run_bytes: usize,
-    /// Packed runs served **zero-copy** out of a shared snapshot buffer
-    /// ([`crate::PackedColumnsView`]) rather than from decoded heap
-    /// frames — a subset of [`packed`](Self::packed).
+    /// Packed runs served out of a [`crate::PackedColumnsView`]. Every
+    /// packed run is one, so this always equals [`packed`](Self::packed);
+    /// it stays for callers that read it.
     pub zero_copy: usize,
     /// Decision counters summed over all runs; memo counters are the
     /// shared context's.
@@ -730,9 +731,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
                 }
                 Slot::FrozenPacked(h) => {
                     stats.packed += 1;
-                    if h.columns().is_zero_copy() {
-                        stats.zero_copy += 1;
-                    }
+                    stats.zero_copy += 1;
                     stats.run_bytes += h.memory_bytes();
                     stats.engine.context_only += h.context_only();
                     stats.engine.skeleton += h.skeleton_queries();
@@ -759,19 +758,15 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
 // Persistence (the unified snapshot layer, [`crate::snapshot`])
 // ====================================================================
 
-/// Slot states in the fleet-manifest segment.
+/// Slot states in the fleet-manifest segment. State 2 is reserved: it
+/// named a retired unaligned packed layout, so reusing it would misread
+/// old files. Readers reject it as an unknown slot state.
 const SLOT_EVICTED: u8 = 0;
+/// A frozen run stored as a raw [`snapshot::seg::RUN_COLUMNS`] segment.
 const SLOT_FROZEN: u8 = 1;
-/// A frozen run stored as a bit-packed [`snapshot::seg::PACKED_COLUMNS`]
-/// segment (PR 7); readers that predate the state fail with
-/// "unknown slot state" instead of misreading segments.
-const SLOT_FROZEN_PACKED: u8 = 2;
-/// A frozen run stored as an **aligned** bit-packed
-/// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment (PR 10): loadable
-/// either by decoding (copy path) or by binding a zero-copy
-/// [`crate::PackedColumnsView`] straight over the validated load buffer
-/// ([`FleetEngine::load_shared`]). New snapshots write this state; old
-/// state-2 snapshots keep decoding unchanged.
+/// A frozen run stored as a bit-packed
+/// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment, served on load by a
+/// [`crate::PackedColumnsView`] over the load buffer.
 const SLOT_FROZEN_PACKED_ALIGNED: u8 = 3;
 
 /// How a fleet's runs came back from a snapshot: how many bound
@@ -781,10 +776,10 @@ const SLOT_FROZEN_PACKED_ALIGNED: u8 = 3;
 /// cost ([`crate::RegistryStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetLoadProfile {
-    /// Runs bound as zero-copy views over the load buffer.
+    /// Packed runs bound as views over the load buffer.
     pub zero_copy_runs: usize,
-    /// Runs decoded into owned columns (raw, legacy packed, or aligned
-    /// loads without a shareable buffer).
+    /// Raw runs decoded into owned columns, plus packed runs bound over a
+    /// copy of their payload when the load has no shared buffer.
     pub decoded_runs: usize,
     /// Total snapshot bytes the load was served from.
     pub bytes: usize,
@@ -838,11 +833,10 @@ impl<'s> FleetEngine<'s, SpecScheme> {
                     snapshot::seg::RUN_COLUMNS,
                     snapshot::write_run_columns(h.columns()),
                 ),
-                // the aligned layout since PR 10; a zero-copy view hands
-                // its validated payload back verbatim (still no decode)
+                // the view hands its payload back verbatim (no encode)
                 Slot::FrozenPacked(h) => w.push(
                     snapshot::seg::PACKED_COLUMNS_ALIGNED,
-                    h.columns().to_aligned_payload(),
+                    h.columns().payload_bytes().to_vec(),
                 ),
                 _ => {}
             }
@@ -872,12 +866,12 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         Self::read_snapshot_with(r, None).map(|(fleet, graph, _)| (fleet, graph))
     }
 
-    /// [`read_snapshot`](Self::read_snapshot), optionally binding aligned
-    /// packed runs **zero-copy** over `bind` — the shared buffer the
-    /// reader's payloads borrow from. With `bind`, every
+    /// [`read_snapshot`](Self::read_snapshot), optionally binding packed
+    /// runs **zero-copy** over `bind` — the shared buffer the reader's
+    /// payloads borrow from. Every
     /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment becomes a
-    /// [`crate::PackedColumnsView`] over the buffer (O(header) per run);
-    /// without it, the segment decodes into owned columns. The returned
+    /// [`crate::PackedColumnsView`]: over `bind` when given (no copy),
+    /// otherwise over a copy of that one payload. The returned
     /// [`FleetLoadProfile`] says which path each run took.
     fn read_snapshot_with(
         r: &snapshot::SnapshotReader<'_>,
@@ -890,22 +884,19 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         let mut fleet = FleetEngine::new(ctx.shared());
         let mut profile = FleetLoadProfile::default();
         let mut runs = r.all(snapshot::seg::RUN_COLUMNS);
-        let mut packed_runs = r.all(snapshot::seg::PACKED_COLUMNS);
-        let mut aligned_runs = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED);
+        let mut packed_runs = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED);
         for _ in 0..slot_count {
             let state = cur.u8()?;
             match state {
-                SLOT_FROZEN | SLOT_FROZEN_PACKED | SLOT_FROZEN_PACKED_ALIGNED => {
+                SLOT_FROZEN | SLOT_FROZEN_PACKED_ALIGNED => {
                     let context_only = cur.varint()?;
                     let skeleton_queries = cur.varint()?;
-                    // raw, legacy-packed and aligned runs ride separate
-                    // segment kinds, so each manifest state consumes from
-                    // its own stream and old snapshots keep decoding
-                    // unchanged
-                    let payload = match state {
-                        SLOT_FROZEN => runs.next(),
-                        SLOT_FROZEN_PACKED => packed_runs.next(),
-                        _ => aligned_runs.next(),
+                    // raw and packed runs ride separate segment kinds, so
+                    // each manifest state consumes from its own stream
+                    let payload = if state == SLOT_FROZEN {
+                        runs.next()
+                    } else {
+                        packed_runs.next()
                     }
                     .ok_or(snapshot::FormatError::Malformed(
                         "manifest promises more runs than stored",
@@ -922,53 +913,33 @@ impl<'s> FleetEngine<'s, SpecScheme> {
                             Ok(())
                         }
                     };
-                    match state {
-                        SLOT_FROZEN => {
-                            let cols = snapshot::read_run_columns(payload)?;
-                            check_bound(cols.origin_bound())?;
-                            let handle = RunHandle::from_columns(cols);
-                            handle.count(context_only, skeleton_queries);
-                            profile.decoded_runs += 1;
-                            fleet.push(Slot::Frozen(handle));
-                        }
-                        SLOT_FROZEN_PACKED => {
-                            let cols = snapshot::read_packed_columns(payload)?;
-                            check_bound(cols.origin_bound())?;
-                            let handle = PackedRunHandle::from_columns(cols);
-                            handle.count(context_only, skeleton_queries);
-                            profile.decoded_runs += 1;
-                            fleet.push(Slot::FrozenPacked(handle));
-                        }
-                        _ => {
-                            let store = match bind {
-                                Some(buf) => {
-                                    // the reader borrowed this payload from
-                                    // the same allocation `buf` owns, so
-                                    // the offset arithmetic cannot escape
-                                    // the buffer
-                                    let off =
-                                        payload.as_ptr() as usize - buf.as_ptr() as usize;
-                                    debug_assert!(off + payload.len() <= buf.len());
-                                    let view = crate::packed::PackedColumnsView::bind(
-                                        Arc::clone(buf),
-                                        off,
-                                        payload.len(),
-                                    )?;
-                                    profile.zero_copy_runs += 1;
-                                    crate::packed::PackedStore::View(view)
-                                }
-                                None => {
-                                    let cols =
-                                        snapshot::read_packed_columns_aligned(payload)?;
-                                    profile.decoded_runs += 1;
-                                    crate::packed::PackedStore::Owned(cols)
-                                }
-                            };
-                            check_bound(store.origin_bound())?;
-                            let handle = PackedRunHandle::from_store(store);
-                            handle.count(context_only, skeleton_queries);
-                            fleet.push(Slot::FrozenPacked(handle));
-                        }
+                    if state == SLOT_FROZEN {
+                        let cols = snapshot::read_run_columns(payload)?;
+                        check_bound(cols.origin_bound())?;
+                        let handle = RunHandle::from_columns(cols);
+                        handle.count(context_only, skeleton_queries);
+                        profile.decoded_runs += 1;
+                        fleet.push(Slot::Frozen(handle));
+                    } else {
+                        let view = match bind {
+                            Some(buf) => {
+                                // the reader borrowed this payload from the
+                                // same allocation `buf` owns, so the offset
+                                // arithmetic cannot escape the buffer
+                                let off = payload.as_ptr() as usize - buf.as_ptr() as usize;
+                                debug_assert!(off + payload.len() <= buf.len());
+                                profile.zero_copy_runs += 1;
+                                PackedColumnsView::bind(Arc::clone(buf), off, payload.len())?
+                            }
+                            None => {
+                                profile.decoded_runs += 1;
+                                PackedColumnsView::bind(Arc::from(payload), 0, payload.len())?
+                            }
+                        };
+                        check_bound(view.origin_bound())?;
+                        let handle = PackedRunHandle::from_store(PackedStore::View(view));
+                        handle.count(context_only, skeleton_queries);
+                        fleet.push(Slot::FrozenPacked(handle));
                     }
                 }
                 SLOT_EVICTED => {
@@ -979,8 +950,7 @@ impl<'s> FleetEngine<'s, SpecScheme> {
             }
         }
         cur.finish()?;
-        if runs.next().is_some() || packed_runs.next().is_some() || aligned_runs.next().is_some()
-        {
+        if runs.next().is_some() || packed_runs.next().is_some() {
             return Err(snapshot::FormatError::Malformed(
                 "stored runs exceed the manifest",
             ));
@@ -994,14 +964,14 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         Self::read_snapshot(&snapshot::SnapshotReader::parse(bytes)?)
     }
 
-    /// [`load`](Self::load) from a shared buffer, binding every aligned
-    /// packed run **zero-copy** over it: the container is fully validated
-    /// (structure + payload CRCs), then each
+    /// [`load`](Self::load) from a shared buffer, binding every packed run
+    /// **zero-copy** over it: the container is fully validated (structure
+    /// and payload CRCs), then each
     /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment is served
     /// straight out of `bytes` through a [`crate::PackedColumnsView`] —
     /// no per-word decode, no per-run allocation proportional to the run.
-    /// Raw and legacy-packed segments still decode via the copy path. The
-    /// profile reports the split and the buffer size.
+    /// Raw segments decode into owned columns. The profile reports the
+    /// split and the buffer size.
     pub fn load_shared(
         bytes: Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
@@ -1443,6 +1413,37 @@ mod tests {
             );
             let (reloaded, _) = FleetEngine::load(&packed_snapshot).unwrap();
             assert_eq!(reloaded.answer_batch(&probes).unwrap(), baseline, "{kind}");
+
+            // The retired unaligned framing, slot state 2 over segment kind
+            // 0x0009, is a typed error on both load paths, never misread.
+            let r = snapshot::SnapshotReader::parse(&packed_snapshot).unwrap();
+            let mut w = snapshot::SnapshotWriter::new();
+            for &(seg_kind, payload) in r.segments() {
+                match seg_kind {
+                    snapshot::seg::FLEET_MANIFEST => {
+                        let mut cur = snapshot::Cursor::new(payload);
+                        let slots = cur.varint().unwrap();
+                        let mut manifest = Vec::new();
+                        snapshot::put_varint(&mut manifest, slots);
+                        for _ in 0..slots {
+                            assert_eq!(cur.u8().unwrap(), SLOT_FROZEN_PACKED_ALIGNED);
+                            manifest.push(2);
+                            snapshot::put_varint(&mut manifest, cur.varint().unwrap());
+                            snapshot::put_varint(&mut manifest, cur.varint().unwrap());
+                        }
+                        w.push(seg_kind, manifest);
+                    }
+                    snapshot::seg::PACKED_COLUMNS_ALIGNED => w.push(0x0009, payload.to_vec()),
+                    _ => w.push(seg_kind, payload.to_vec()),
+                }
+            }
+            let retired = w.finish();
+            let unknown = snapshot::FormatError::Malformed("unknown slot state");
+            assert!(matches!(FleetEngine::load(&retired), Err(e) if e == unknown));
+            assert!(matches!(
+                FleetEngine::load_shared(Arc::from(retired)),
+                Err(e) if e == unknown
+            ));
         }
     }
 
@@ -1487,87 +1488,5 @@ mod tests {
         let (loaded, _) = FleetEngine::load(&fleet.save(spec.graph()).unwrap()).unwrap();
         assert_eq!(loaded.stats().frozen, 1);
         assert_eq!(loaded.stats().evicted, 1);
-    }
-
-    /// A pre-PR 10 snapshot — one raw [`snapshot::seg::RUN_COLUMNS`] run
-    /// and one legacy [`snapshot::seg::PACKED_COLUMNS`] run, hand-written
-    /// the way the old fleet writer laid them out — still loads through
-    /// both public paths: labels come back byte-identical, answers match
-    /// the live fleet, and the shared load honestly reports the legacy
-    /// segments as *decoded* (the zero-copy bind is aligned-only).
-    #[test]
-    fn legacy_packed_and_raw_snapshots_still_round_trip() {
-        let spec = paper_spec();
-        let mut fleet =
-            FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()));
-        let raw = fleet.register_labels(&labels(&spec, SchemeKind::Tcm));
-        let packed = fleet.register_labels(&labels(&spec, SchemeKind::Tcm));
-        fleet.seal_packed(packed).unwrap();
-        let n = labels(&spec, SchemeKind::Tcm).len();
-
-        // the old container: same spec record and manifest shape, but the
-        // sealed run serialized as a legacy PACKED_COLUMNS payload under a
-        // SLOT_FROZEN_PACKED state byte
-        let mut w = snapshot::SnapshotWriter::new();
-        snapshot::write_spec_context(&mut w, &fleet.ctx, spec.graph());
-        let mut manifest = Vec::new();
-        snapshot::put_varint(&mut manifest, fleet.slots.len() as u64);
-        for slot in &fleet.slots {
-            match slot {
-                Slot::Frozen(h) => {
-                    manifest.push(SLOT_FROZEN);
-                    snapshot::put_varint(&mut manifest, h.context_only());
-                    snapshot::put_varint(&mut manifest, h.skeleton_queries());
-                }
-                Slot::FrozenPacked(h) => {
-                    manifest.push(SLOT_FROZEN_PACKED);
-                    snapshot::put_varint(&mut manifest, h.context_only());
-                    snapshot::put_varint(&mut manifest, h.skeleton_queries());
-                }
-                _ => unreachable!("both runs are frozen"),
-            }
-        }
-        w.push(snapshot::seg::FLEET_MANIFEST, manifest);
-        for slot in &fleet.slots {
-            match slot {
-                Slot::Frozen(h) => w.push(
-                    snapshot::seg::RUN_COLUMNS,
-                    snapshot::write_run_columns(h.columns()),
-                ),
-                Slot::FrozenPacked(h) => w.push(
-                    snapshot::seg::PACKED_COLUMNS,
-                    crate::PackedColumns::pack(&h.columns().unpack()).to_payload(),
-                ),
-                _ => unreachable!("both runs are frozen"),
-            }
-        }
-        let legacy = w.finish();
-
-        let probes = [raw, packed]
-            .iter()
-            .flat_map(|&r| all_probes(r, n))
-            .collect::<Vec<_>>();
-        let want = fleet.answer_batch(&probes).unwrap();
-        let columns_of = |f: &FleetEngine<'_, SpecScheme>| -> Vec<crate::engine::SoaLabels> {
-            f.slots
-                .iter()
-                .map(|slot| match slot {
-                    Slot::Frozen(h) => h.columns().clone(),
-                    Slot::FrozenPacked(h) => h.columns().unpack(),
-                    _ => unreachable!("both runs are frozen"),
-                })
-                .collect()
-        };
-        let want_columns = columns_of(&fleet);
-
-        let (owned, _) = FleetEngine::load(&legacy).unwrap();
-        assert_eq!(owned.answer_batch(&probes).unwrap(), want);
-        let (shared, _, profile) =
-            FleetEngine::load_shared(std::sync::Arc::from(legacy.as_slice())).unwrap();
-        assert_eq!(profile.decoded_runs, 2, "legacy segments ride the copy path");
-        assert_eq!(profile.zero_copy_runs, 0);
-        assert_eq!(shared.answer_batch(&probes).unwrap(), want);
-        assert_eq!(columns_of(&owned), want_columns, "owned legacy labels diverged");
-        assert_eq!(columns_of(&shared), want_columns, "shared legacy labels diverged");
     }
 }

@@ -299,9 +299,6 @@ fn bits_for(max: u64) -> usize {
 /// Failures parsing a packed label file ([`EncodedLabels::from_bytes`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The bytes start with neither the snapshot-container magic nor the
-    /// legacy `WFPL` magic (or are shorter than either fixed header).
-    NotALabelFile,
     /// The payload is not a whole number of 64-bit words.
     MisalignedPayload {
         /// Payload length in bytes (after the fixed-width header fields).
@@ -314,15 +311,15 @@ pub enum DecodeError {
         /// Bits actually present.
         available_bits: usize,
     },
-    /// The snapshot container around the labels is invalid (truncated,
-    /// corrupt, wrong version — see [`FormatError`]).
+    /// The snapshot container around the labels is invalid (not a
+    /// container, truncated, corrupt, wrong version — see
+    /// [`FormatError`]).
     Format(FormatError),
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::NotALabelFile => write!(f, "not a packed label file"),
             DecodeError::MisalignedPayload { len } => {
                 write!(f, "label payload of {len} bytes is not word-aligned")
             }
@@ -413,55 +410,19 @@ impl EncodedLabels {
         w.finish()
     }
 
-    /// Serializes in the legacy (pre-snapshot) v0 framing: magic +
-    /// fixed-width header + words, no checksum. Kept so interop with
-    /// files written by older builds stays testable; new code writes
-    /// [`to_bytes`](Self::to_bytes).
-    pub fn to_bytes_v0(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(26 + self.words.len() * 8);
-        out.extend_from_slice(b"WFPL\x01\x00");
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.n_plus.to_le_bytes());
-        out.extend_from_slice(&self.n_g.to_le_bytes());
-        out.extend_from_slice(&(self.bit_len as u64).to_le_bytes());
-        for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a label file: the snapshot container written by
-    /// [`to_bytes`](Self::to_bytes), or — sniffed by magic — the legacy v0
-    /// stream ([`to_bytes_v0`](Self::to_bytes_v0)), so label files from
-    /// older builds keep decoding.
+    /// Parses a label file written by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if snapshot::SnapshotReader::sniff(bytes) {
-            let r = snapshot::SnapshotReader::parse(bytes)?;
-            return Self::parse_payload(r.first(snapshot::seg::PACKED_LABELS)?, false);
-        }
-        // v0 compatibility path
-        if bytes.len() < 26 || &bytes[..6] != b"WFPL\x01\x00" {
-            return Err(DecodeError::NotALabelFile);
-        }
-        Self::parse_payload(&bytes[6..], true)
+        let r = snapshot::SnapshotReader::parse(bytes)?;
+        Self::parse_payload(r.first(snapshot::seg::PACKED_LABELS)?)
     }
 
-    /// The shared fixed-width body parser: `count | n_plus | n_g | bit_len
-    /// | words`, identical in the v0 stream (after its magic) and in the
-    /// container segment payload. `v0` selects the error vocabulary: a
-    /// short v0 body means the fixed label header itself is incomplete
-    /// (`NotALabelFile`), while a short container segment is a format
-    /// defect inside an otherwise valid snapshot.
-    fn parse_payload(payload: &[u8], v0: bool) -> Result<Self, DecodeError> {
+    /// The segment body parser: `count | n_plus | n_g | bit_len | words`.
+    fn parse_payload(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut cur = snapshot::Cursor::new(payload);
-        let header = |e| match e {
-            FormatError::Truncated { .. } if v0 => DecodeError::NotALabelFile,
-            e => DecodeError::Format(e),
-        };
-        let count = cur.u32().map_err(header)?;
-        let n_plus = cur.u32().map_err(header)?;
-        let n_g = cur.u32().map_err(header)?;
-        let bit_len = cur.u64().map_err(header)? as usize;
+        let count = cur.u32()?;
+        let n_plus = cur.u32()?;
+        let n_g = cur.u32()?;
+        let bit_len = cur.u64()? as usize;
         let words_bytes = cur.bytes(cur.remaining()).expect("remaining is in bounds");
         if words_bytes.len() % 8 != 0 {
             return Err(DecodeError::MisalignedPayload {
@@ -615,12 +576,16 @@ mod tests {
             EncodedLabels::from_bytes(&flipped).unwrap_err(),
             DecodeError::Format(crate::snapshot::FormatError::ChecksumMismatch { .. })
         ));
-        assert_eq!(
-            EncodedLabels::from_bytes(b"garbage___________________").unwrap_err(),
-            DecodeError::NotALabelFile
-        );
+        // bytes that are not a container, including the retired `WFPL`
+        // framing, fail on the container magic
+        for not_a_container in [&b"garbage___________________"[..], b"WFPL\x01\x00"] {
+            assert_eq!(
+                EncodedLabels::from_bytes(not_a_container).unwrap_err(),
+                DecodeError::Format(crate::snapshot::FormatError::BadMagic)
+            );
+        }
         // a valid container whose labels segment is shorter than the fixed
-        // label header is a format defect, not "not a label file"
+        // label header is a format defect
         let mut w = crate::snapshot::SnapshotWriter::new();
         w.push(crate::snapshot::seg::PACKED_LABELS, vec![0u8; 10]);
         assert!(matches!(
@@ -644,35 +609,12 @@ mod tests {
         ));
         // decode errors implement std::error::Error and render; the
         // container wrapper exposes the format failure as its source()
-        let e: Box<dyn std::error::Error> = Box::new(DecodeError::NotALabelFile);
-        assert!(e.to_string().contains("label file"));
+        let e: Box<dyn std::error::Error> = Box::new(DecodeError::MisalignedPayload { len: 3 });
+        assert!(e.to_string().contains("word-aligned"));
         let wrapped = DecodeError::Format(crate::snapshot::FormatError::BadMagic);
         use std::error::Error as _;
         assert!(wrapped.source().is_some());
         assert!(wrapped.to_string().contains("magic"));
-    }
-
-    #[test]
-    fn v0_label_files_still_decode() {
-        let (_spec, _run, labeled) = labeled_paper_run(SchemeKind::Bfs);
-        let enc = labeled.encode();
-        let v0 = enc.to_bytes_v0();
-        assert_ne!(v0, enc.to_bytes(), "v0 and container framings differ");
-        let back = EncodedLabels::from_bytes(&v0).unwrap();
-        assert_eq!(back.decode(), labeled.labels().to_vec());
-        // v0 corruption keeps its original typed causes
-        assert_eq!(
-            EncodedLabels::from_bytes(&v0[..10]).unwrap_err(),
-            DecodeError::NotALabelFile
-        );
-        assert!(matches!(
-            EncodedLabels::from_bytes(&v0[..v0.len() - 1]).unwrap_err(),
-            DecodeError::MisalignedPayload { .. }
-        ));
-        assert!(matches!(
-            EncodedLabels::from_bytes(&v0[..v0.len() - 8]).unwrap_err(),
-            DecodeError::TruncatedPayload { .. }
-        ));
     }
 
     #[test]

@@ -64,10 +64,10 @@ pub use label::{
 pub use online::{OnlineError, OnlineLabeler};
 pub use orders::{generate_three_orders, ContextEncoding};
 pub use origin::{compute_origins, compute_origins_numbered, OriginError};
-pub use packed::{PackedColumns, PackedColumnsView, PackedEngine, PackedStore};
+pub use packed::{PackedColumnsView, PackedEngine, PackedStore};
 pub use registry::{RegistryError, RegistryStats, ServiceRegistry, SpecId};
 pub use serve::{
-    serve, serve_sharded, Histogram, Probe, SchemeLatency, ServeConfig, ServeError, ServeHandle,
-    ServeStats, Server, ShardPlan, ShardedServer, ShardedStats, Ticket,
+    serve_sharded, Histogram, Probe, SchemeLatency, ServeConfig, ServeError, ServeHandle,
+    ServeStats, ShardPlan, ShardedServer, ShardedStats, Ticket,
 };
 pub use snapshot::{FormatError, SnapshotReader, SnapshotWriter};

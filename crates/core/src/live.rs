@@ -324,9 +324,9 @@ impl<'s, S: SpecIndex> LiveRun<'s, S> {
 
     /// [`freeze`](Self::freeze) straight into the bit-packed tier: the
     /// extracted labels are frame-of-reference encoded immediately
-    /// ([`crate::PackedColumns`]), so a completed run lands in the
-    /// compressed serving representation without ever holding raw
-    /// columns — same shared context, same warm memo, identical answers.
+    /// ([`crate::PackedColumnsView`]), so a completed run lands in the
+    /// compressed serving representation — same shared context, same warm
+    /// memo, identical answers.
     pub fn freeze_packed(self) -> Result<crate::PackedEngine<S>, OnlineError> {
         let (run, ctx) = self.freeze_handle()?;
         Ok(crate::PackedEngine::from_parts(

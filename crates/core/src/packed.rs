@@ -11,12 +11,12 @@
 //! * **Resident footprint** — a packed run costs `Σ widths / 8` bytes per
 //!   vertex (typically ~6–7 instead of 16), so cold, evicted, or
 //!   memory-pressured fleets can stay *serving* in packed form instead of
-//!   being dropped to disk ([`crate::fleet::FleetEngine::seal_packed`],
-//!   the registry's packed tier).
-//! * **Snapshot size** — the same frames are the
-//!   [`seg::PACKED_COLUMNS`](crate::snapshot::seg::PACKED_COLUMNS) segment
-//!   payload, CRC-guarded like every segment, with the raw `RUN_COLUMNS`
-//!   encoding still decoding for old snapshots.
+//!   being dropped to disk ([`crate::fleet::FleetEngine::seal_packed`]).
+//! * **One layout, in memory and on disk** — a run packs straight into
+//!   the [`seg::PACKED_COLUMNS_ALIGNED`] segment payload, and
+//!   [`PackedColumnsView`] serves that payload in place: a sealed run owns
+//!   its buffer, a run loaded from a snapshot shares the load buffer, and
+//!   saving writes the payload back verbatim.
 //! * **Direct serving** — queries do **not** unpack the run: the two-phase
 //!   sweep kernel ([`crate::engine`]) gathers 64-lane blocks through a
 //!   shift-and-mask decode into the same stack scratch the raw columns
@@ -26,6 +26,8 @@
 //! [`PackedEngine`] is the single-run packed counterpart of
 //! [`QueryEngine`]; fleets mix packed and raw
 //! slots freely.
+//!
+//! [`seg::PACKED_COLUMNS_ALIGNED`]: crate::snapshot::seg::PACKED_COLUMNS_ALIGNED
 
 use std::sync::Arc;
 
@@ -35,46 +37,59 @@ use wfp_speclabel::SpecIndex;
 use crate::context::{PackedRunHandle, SpecContext};
 use crate::engine::{ColumnGather, EngineStats, QueryEngine, SoaLabels};
 use crate::label::{QueryPath, RunLabel};
-use crate::snapshot::{put_varint, Cursor, FormatError};
+use crate::snapshot::FormatError;
 
-/// Version byte leading every packed-columns payload, bumped independently
-/// of the container version so the encoding can evolve without invalidating
-/// whole snapshots.
-pub const PACKED_VERSION: u8 = 1;
-
-/// Version byte leading every *aligned* packed-columns payload
+/// Version byte leading every packed-columns payload
 /// ([`seg::PACKED_COLUMNS_ALIGNED`](crate::snapshot::seg::PACKED_COLUMNS_ALIGNED)).
 pub const PACKED_ALIGNED_VERSION: u8 = 1;
 
-/// Fixed size of the aligned payload header: version byte, four
-/// `(base, width)` column frames, zero padding to an 8-byte boundary, the
-/// vertex count, the origin bound, and trailing zero padding — so every
-/// column's word region starts at a multiple of 8 from the payload start.
+/// Fixed size of the payload header: version byte, four `(base, width)`
+/// column frames, zero padding to an 8-byte boundary, the vertex count,
+/// the origin bound, and trailing zero padding — so every column's word
+/// region starts at a multiple of 8 from the payload start.
 const ALIGNED_HEADER_BYTES: usize = 40;
 
-/// One frame-of-reference packed column: `base + deltas` at a fixed bit
-/// width, deltas stored little-endian-contiguous in 64-bit words.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct PackedColumn {
-    /// The column minimum; every stored delta is relative to it.
-    base: u32,
-    /// Bits per delta, `0..=32`. Width 0 means the column is constant.
-    width: u32,
-    /// Packed deltas plus one trailing zero pad word, so a two-word
-    /// straddling read at the last element never indexes past the end.
-    words: Vec<u64>,
+/// Packed words needed for `len` deltas of `width` bits (pad excluded).
+fn word_count(len: u64, width: u32) -> usize {
+    ((len * u64::from(width)).div_ceil(64)) as usize
 }
 
-impl PackedColumn {
-    fn pack(vals: &[u32]) -> Self {
-        let base = vals.iter().copied().min().unwrap_or(0);
-        let spread = vals.iter().copied().max().unwrap_or(0) - base;
-        let width = if spread == 0 {
-            0
-        } else {
-            32 - spread.leading_zeros()
-        };
-        let mut words = vec![0u64; Self::word_count(vals.len() as u64, width) + 1];
+/// One column's frame of reference: its minimum, and the bit width
+/// covering `max − min` (0 for a constant column).
+fn frame(vals: &[u32]) -> (u32, u32) {
+    let base = vals.iter().copied().min().unwrap_or(0);
+    let spread = vals.iter().copied().max().unwrap_or(0) - base;
+    (base, 32 - spread.leading_zeros())
+}
+
+/// Encodes raw label columns as a packed payload: the fixed 40-byte
+/// header (version, four `(base, width)` frames, zero padding, vertex
+/// count, origin bound, zero padding), then each column's deltas packed
+/// little-endian-contiguous into 64-bit words, followed by one zero pad
+/// word. Every column region is thus a multiple of 8 bytes, starts
+/// 8-byte-aligned relative to the payload, and an 8-byte read at its last
+/// element stays inside it.
+fn encode(cols: &SoaLabels) -> Vec<u8> {
+    let (q1, q2, q3, origin) = cols.raw_columns();
+    let columns = [q1, q2, q3, origin];
+    let frames = columns.map(frame);
+    let len = cols.len() as u64;
+    let words: usize = frames
+        .iter()
+        .map(|&(_, width)| word_count(len, width) + 1)
+        .sum();
+    let mut out = Vec::with_capacity(ALIGNED_HEADER_BYTES + words * 8);
+    out.push(PACKED_ALIGNED_VERSION);
+    for (base, width) in frames {
+        out.extend_from_slice(&base.to_le_bytes());
+        out.push(width as u8);
+    }
+    out.extend_from_slice(&[0u8; 3]);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&cols.origin_bound().to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]);
+    for (vals, (base, width)) in columns.into_iter().zip(frames) {
+        let mut words = vec![0u64; word_count(len, width) + 1];
         for (i, &v) in vals.iter().enumerate() {
             let delta = u64::from(v - base);
             let bit = i as u64 * u64::from(width);
@@ -84,423 +99,11 @@ impl PackedColumn {
                 words[w + 1] |= delta >> (64 - s);
             }
         }
-        PackedColumn { base, width, words }
-    }
-
-    /// Packed words needed for `len` deltas of `width` bits (pad excluded).
-    fn word_count(len: u64, width: u32) -> usize {
-        ((len * u64::from(width)).div_ceil(64)) as usize
-    }
-
-    /// Decodes element `i`. The caller guards `i < len`; a two-word window
-    /// makes the extraction branchless for every alignment.
-    #[inline(always)]
-    fn get(&self, i: usize) -> u32 {
-        if self.width == 0 {
-            return self.base;
-        }
-        let bit = i as u64 * u64::from(self.width);
-        let (w, s) = ((bit >> 6) as usize, (bit & 63) as u32);
-        // Branchless two-word window without 128-bit shifts: the straddle
-        // contribution is `words[w+1] << (64 - s)`, computed as a double
-        // shift so `s == 0` degenerates to zero instead of an overflow.
-        let lo = self.words[w] >> s;
-        let hi = (self.words[w + 1] << 1) << (63 - s);
-        let mask = (1u64 << self.width) - 1;
-        self.base + ((lo | hi) & mask) as u32
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.words.len() * 8 + std::mem::size_of::<u32>() * 2
-    }
-}
-
-/// Bit-packed struct-of-arrays label storage for one frozen run: the four
-/// columns of [`SoaLabels`], each frame-of-reference encoded at its own
-/// width. Serves the sweep kernel directly (no unpacking step) and
-/// round-trips losslessly via [`unpack`](Self::unpack).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedColumns {
-    len: usize,
-    q1: PackedColumn,
-    q2: PackedColumn,
-    q3: PackedColumn,
-    origin: PackedColumn,
-    origin_bound: u32,
-}
-
-impl PackedColumns {
-    /// Packs raw label columns, choosing each column's base and bit width
-    /// from its actual value range.
-    pub fn pack(cols: &SoaLabels) -> Self {
-        let (q1, q2, q3, origin) = cols.raw_columns();
-        PackedColumns {
-            len: cols.len(),
-            q1: PackedColumn::pack(q1),
-            q2: PackedColumn::pack(q2),
-            q3: PackedColumn::pack(q3),
-            origin: PackedColumn::pack(origin),
-            origin_bound: cols.origin_bound(),
+        for w in words {
+            out.extend_from_slice(&w.to_le_bytes());
         }
     }
-
-    /// Decodes back to raw `u32` columns — byte-identical to the columns
-    /// that were packed.
-    pub fn unpack(&self) -> SoaLabels {
-        let col = |c: &PackedColumn| (0..self.len).map(|i| c.get(i)).collect::<Vec<u32>>();
-        SoaLabels::from_raw_columns(col(&self.q1), col(&self.q2), col(&self.q3), col(&self.origin))
-            .expect("packed columns share one length")
-    }
-
-    /// Number of packed labels.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no labels are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Exclusive upper bound on the stored origin ids (0 when empty).
-    pub fn origin_bound(&self) -> u32 {
-        self.origin_bound
-    }
-
-    /// The four per-column bit widths `(q1, q2, q3, origin)`.
-    pub fn widths(&self) -> (u32, u32, u32, u32) {
-        (
-            self.q1.width,
-            self.q2.width,
-            self.q3.width,
-            self.origin.width,
-        )
-    }
-
-    /// Re-gathers the label of vertex `v` (spot checks and the scalar
-    /// probe path; the batch paths decode inside the sweep).
-    pub fn label(&self, v: RunVertexId) -> RunLabel {
-        let i = v.index();
-        assert!(i < self.len, "query vertex out of range");
-        RunLabel {
-            q1: self.q1.get(i),
-            q2: self.q2.get(i),
-            q3: self.q3.get(i),
-            origin: wfp_model::ModuleId(self.origin.get(i)),
-        }
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.q1.memory_bytes()
-            + self.q2.memory_bytes()
-            + self.q3.memory_bytes()
-            + self.origin.memory_bytes()
-    }
-
-    /// Serializes as a [`seg::PACKED_COLUMNS`] payload: version byte, four
-    /// `(base, width)` column headers, the vertex count, then the packed
-    /// words of each column back to back (pad words excluded).
-    ///
-    /// [`seg::PACKED_COLUMNS`]: crate::snapshot::seg::PACKED_COLUMNS
-    pub(crate) fn to_payload(&self) -> Vec<u8> {
-        let cols = [&self.q1, &self.q2, &self.q3, &self.origin];
-        let mut out = Vec::with_capacity(32 + self.memory_bytes());
-        out.push(PACKED_VERSION);
-        for c in cols {
-            out.extend_from_slice(&c.base.to_le_bytes());
-            out.push(c.width as u8);
-        }
-        put_varint(&mut out, self.len as u64);
-        for c in cols {
-            let exact = PackedColumn::word_count(self.len as u64, c.width);
-            for &w in &c.words[..exact] {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parses a [`to_payload`](Self::to_payload) buffer, rejecting
-    /// inconsistent headers before sizing any allocation: widths above 32
-    /// bits, `base + mask` overflowing the `u32` value space, vertex
-    /// counts beyond the id space or beyond what the stored words can
-    /// back. The origin bound is recomputed from the decoded deltas, so a
-    /// forged payload cannot promise a smaller bound than it stores.
-    pub(crate) fn from_payload(payload: &[u8]) -> Result<Self, FormatError> {
-        let mut cur = Cursor::new(payload);
-        let version = cur.u8()?;
-        if version != PACKED_VERSION {
-            return Err(FormatError::UnsupportedVersion(u16::from(version)));
-        }
-        let mut headers = [(0u32, 0u32); 4];
-        for h in &mut headers {
-            let base = cur.u32()?;
-            let width = u32::from(cur.u8()?);
-            if width > 32 {
-                return Err(FormatError::Malformed("packed column width exceeds 32 bits"));
-            }
-            let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-            if u64::from(base) + mask > u64::from(u32::MAX) {
-                return Err(FormatError::Malformed("packed column range overflows u32"));
-            }
-            *h = (base, width);
-        }
-        let len = cur.varint()?;
-        if len > u64::from(u32::MAX) {
-            return Err(FormatError::Malformed(
-                "packed columns exceed the vertex id space",
-            ));
-        }
-        let mut read_col = |&(base, width): &(u32, u32)| -> Result<PackedColumn, FormatError> {
-            let exact = PackedColumn::word_count(len, width);
-            let raw = cur.bytes(exact * 8)?;
-            let mut words = Vec::with_capacity(exact + 1);
-            words.extend(
-                raw.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-            );
-            words.push(0);
-            Ok(PackedColumn { base, width, words })
-        };
-        let q1 = read_col(&headers[0])?;
-        let q2 = read_col(&headers[1])?;
-        let q3 = read_col(&headers[2])?;
-        let origin = read_col(&headers[3])?;
-        cur.finish()?;
-        let len = len as usize;
-        // Recompute the origin bound honestly. A zero-width origin column
-        // is closed-form; otherwise the scan is bounded by the stored
-        // words (len ≤ words·64/width), so a forged count cannot buy
-        // unbounded work.
-        let origin_bound = if len == 0 {
-            0
-        } else if origin.width == 0 {
-            origin.base.saturating_add(1)
-        } else {
-            (0..len)
-                .map(|i| origin.get(i).saturating_add(1))
-                .max()
-                .unwrap_or(0)
-        };
-        Ok(PackedColumns {
-            len,
-            q1,
-            q2,
-            q3,
-            origin,
-            origin_bound,
-        })
-    }
-
-    /// Serializes as a [`seg::PACKED_COLUMNS_ALIGNED`] payload: a fixed
-    /// 40-byte header (version, four `(base, width)` frames, zero padding,
-    /// vertex count, origin bound, zero padding), then each column's packed
-    /// words *including* its trailing zero pad word — so every column
-    /// region is a multiple of 8 bytes, starts 8-byte-aligned relative to
-    /// the payload, and a borrowed two-word straddling read at the last
-    /// element stays inside the region. This is the layout
-    /// [`PackedColumnsView`] serves without decoding.
-    ///
-    /// [`seg::PACKED_COLUMNS_ALIGNED`]: crate::snapshot::seg::PACKED_COLUMNS_ALIGNED
-    pub(crate) fn to_aligned_payload(&self) -> Vec<u8> {
-        let cols = [&self.q1, &self.q2, &self.q3, &self.origin];
-        let words: usize = cols
-            .iter()
-            .map(|c| PackedColumn::word_count(self.len as u64, c.width) + 1)
-            .sum();
-        let mut out = Vec::with_capacity(ALIGNED_HEADER_BYTES + words * 8);
-        out.push(PACKED_ALIGNED_VERSION);
-        for c in cols {
-            out.extend_from_slice(&c.base.to_le_bytes());
-            out.push(c.width as u8);
-        }
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&self.origin_bound.to_le_bytes());
-        out.extend_from_slice(&[0u8; 4]);
-        for c in cols {
-            let exact = PackedColumn::word_count(self.len as u64, c.width);
-            for &w in &c.words[..exact] {
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&0u64.to_le_bytes()); // pad word
-        }
-        out
-    }
-
-    /// Parses a [`to_aligned_payload`](Self::to_aligned_payload) buffer
-    /// into **owned** columns — the decode path for callers without a
-    /// shareable load buffer (and the baseline the zero-copy bind is
-    /// benchmarked against). On top of the header validation shared with
-    /// [`PackedColumnsView::bind`], the origin bound is recomputed from the
-    /// decoded deltas and must match the stored one, since the owned
-    /// gather path has no per-probe clamp.
-    pub(crate) fn from_aligned_payload(payload: &[u8]) -> Result<Self, FormatError> {
-        let h = parse_aligned_header(payload)?;
-        let col = |slot: usize| -> PackedColumn {
-            let (base, width) = h.frames[slot];
-            let exact = PackedColumn::word_count(h.len as u64, width);
-            let raw = &payload[h.col_offs[slot]..h.col_offs[slot] + exact * 8];
-            let mut words = Vec::with_capacity(exact + 1);
-            words.extend(
-                raw.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-            );
-            words.push(0);
-            PackedColumn { base, width, words }
-        };
-        let origin = col(3);
-        let honest = if h.len == 0 {
-            0
-        } else if origin.width == 0 {
-            origin.base.saturating_add(1)
-        } else {
-            (0..h.len)
-                .map(|i| origin.get(i).saturating_add(1))
-                .max()
-                .unwrap_or(0)
-        };
-        if honest != h.origin_bound {
-            return Err(FormatError::Malformed(
-                "aligned origin bound does not match the stored column",
-            ));
-        }
-        Ok(PackedColumns {
-            len: h.len,
-            q1: col(0),
-            q2: col(1),
-            q3: col(2),
-            origin,
-            origin_bound: h.origin_bound,
-        })
-    }
-}
-
-/// A validated aligned-payload header: per-column `(base, width)` frames,
-/// the vertex count and origin bound, and each column's byte offset
-/// relative to the payload start.
-struct AlignedHeader {
-    frames: [(u32, u32); 4],
-    len: usize,
-    origin_bound: u32,
-    col_offs: [usize; 4],
-    total: usize,
-}
-
-/// Validates an aligned payload's fixed header and exact layout without
-/// touching the packed words (beyond each column's pad word): version,
-/// frame ranges, zero padding, a range-checked origin bound, and the total
-/// size implied by `len × widths` matching the buffer byte for byte. Both
-/// the owned decode and the zero-copy bind go through this, so a forged
-/// header is the same typed error on either path.
-fn parse_aligned_header(payload: &[u8]) -> Result<AlignedHeader, FormatError> {
-    if payload.len() < ALIGNED_HEADER_BYTES {
-        return Err(FormatError::Truncated {
-            offset: payload.len(),
-        });
-    }
-    let version = payload[0];
-    if version != PACKED_ALIGNED_VERSION {
-        return Err(FormatError::UnsupportedVersion(u16::from(version)));
-    }
-    let mut frames = [(0u32, 0u32); 4];
-    for (slot, f) in frames.iter_mut().enumerate() {
-        let at = 1 + slot * 5;
-        let base = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-        let width = u32::from(payload[at + 4]);
-        if width > 32 {
-            return Err(FormatError::Malformed("packed column width exceeds 32 bits"));
-        }
-        let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
-        if u64::from(base) + mask > u64::from(u32::MAX) {
-            return Err(FormatError::Malformed("packed column range overflows u32"));
-        }
-        *f = (base, width);
-    }
-    if payload[21..24] != [0, 0, 0] || payload[36..40] != [0, 0, 0, 0] {
-        return Err(FormatError::Malformed("aligned header padding is not zero"));
-    }
-    let len = u64::from_le_bytes(payload[24..32].try_into().expect("8 bytes"));
-    if len > u64::from(u32::MAX) {
-        return Err(FormatError::Malformed(
-            "packed columns exceed the vertex id space",
-        ));
-    }
-    let origin_bound = u32::from_le_bytes(payload[32..36].try_into().expect("4 bytes"));
-    // Range-check the stored origin bound instead of recomputing it: the
-    // zero-copy bind must stay O(columns), and [`PackedColumnsView`]'s
-    // per-probe clamp makes any in-range bound safe to serve under.
-    let (obase, owidth) = frames[3];
-    let omask = if owidth == 0 { 0 } else { (1u64 << owidth) - 1 };
-    let bound_ok = if len == 0 {
-        origin_bound == 0
-    } else if owidth == 0 {
-        origin_bound == obase.saturating_add(1)
-    } else {
-        u64::from(origin_bound) > u64::from(obase)
-            && u64::from(origin_bound) <= u64::from(obase) + omask + 1
-    };
-    if !bound_ok {
-        return Err(FormatError::Malformed("aligned origin bound out of range"));
-    }
-    let mut col_offs = [0usize; 4];
-    let mut total = ALIGNED_HEADER_BYTES as u64;
-    for (slot, &(_, width)) in frames.iter().enumerate() {
-        col_offs[slot] = total as usize;
-        total += (PackedColumn::word_count(len, width) as u64 + 1) * 8;
-    }
-    match (payload.len() as u64).cmp(&total) {
-        std::cmp::Ordering::Less => {
-            return Err(FormatError::Truncated {
-                offset: payload.len(),
-            })
-        }
-        std::cmp::Ordering::Greater => {
-            return Err(FormatError::TrailingBytes {
-                extra: (payload.len() as u64 - total) as usize,
-            })
-        }
-        std::cmp::Ordering::Equal => {}
-    }
-    let total = total as usize;
-    for (slot, &(_, width)) in frames.iter().enumerate() {
-        let pad = col_offs[slot] + PackedColumn::word_count(len, width) * 8;
-        if payload[pad..pad + 8] != [0u8; 8] {
-            return Err(FormatError::Malformed("aligned column padding is not zero"));
-        }
-    }
-    Ok(AlignedHeader {
-        frames,
-        len: len as usize,
-        origin_bound,
-        col_offs,
-        total,
-    })
-}
-
-impl ColumnGather for PackedColumns {
-    type Coord = u32;
-
-    #[inline(always)]
-    fn lane_count(&self) -> usize {
-        self.len
-    }
-
-    #[inline(always)]
-    fn coords(&self, i: usize) -> (u32, u32, u32) {
-        (self.q1.get(i), self.q2.get(i), self.q3.get(i))
-    }
-
-    #[inline(always)]
-    fn origin_of(&self, i: usize) -> u32 {
-        self.origin.get(i)
-    }
-
-    #[inline(always)]
-    fn origin_bound(&self) -> u32 {
-        PackedColumns::origin_bound(self)
-    }
+    out
 }
 
 /// One column of a [`PackedColumnsView`]: the frame header plus the
@@ -513,25 +116,23 @@ struct ViewCol {
     off: usize,
 }
 
-/// A **zero-copy view** over an aligned packed-columns payload
-/// ([`seg::PACKED_COLUMNS_ALIGNED`]): the same four frame-of-reference
-/// columns as [`PackedColumns`], except the packed `u64` words stay in the
-/// shared load buffer they were validated in. Binding costs O(header) —
-/// no per-word decode, no allocation proportional to the run — so a
-/// snapshot fault-in through this type is read + checksum, and an
-/// evict→reload cycle of an unmodified fleet can rebind the retained
-/// buffer without touching storage at all.
+/// Bit-packed struct-of-arrays label storage for one frozen run: the four
+/// columns of [`SoaLabels`], each frame-of-reference encoded at its own
+/// width, served in place out of a packed payload
+/// ([`seg::PACKED_COLUMNS_ALIGNED`]) inside a shared buffer. A sealed run
+/// ([`PackedRunHandle::pack`]) owns its buffer; a run loaded from a snapshot
+/// shares the load buffer ([`bind`](Self::bind) costs no per-word decode
+/// and no allocation proportional to the run), so a snapshot fault-in is
+/// read + checksum, and an evict→reload cycle of an unmodified fleet can
+/// rebind the retained buffer without touching storage at all. Round-trips
+/// losslessly via [`unpack`](Self::unpack).
 ///
-/// Trust posture: [`bind`](Self::bind) validates the header exactly like
-/// the owned decode (version, frame ranges, padding, byte-exact layout)
-/// and *range-checks* the stored origin bound against the origin column's
-/// frame instead of rescanning every element — rescanning would
-/// reintroduce the O(n) pass the view exists to avoid. Every origin
-/// served out of the view is then clamped under that bound, so honest
-/// payloads (whose origins are always below their bound) are unaffected,
-/// while a forged in-range bound can only yield wrong answers for the
-/// forged payload, never an out-of-range index into the sweep's probe
-/// table.
+/// Trust posture: [`bind`](Self::bind) validates the header (version,
+/// frame ranges, padding, byte-exact layout) and rescans the origin
+/// column, so the stored origin bound must be exactly the column's
+/// maximum plus one. That is one pass over the origin column, next to the
+/// O(bytes) checksum the container already paid, and it means every
+/// served origin indexes inside the sweep's probe table.
 ///
 /// [`seg::PACKED_COLUMNS_ALIGNED`]: crate::snapshot::seg::PACKED_COLUMNS_ALIGNED
 #[derive(Clone)]
@@ -545,39 +146,122 @@ pub struct PackedColumnsView {
 }
 
 impl PackedColumnsView {
-    /// Binds a view to the aligned payload at `buf[start .. start + len_bytes]`,
-    /// validating the header and exact layout without decoding any words.
-    /// The caller vouches that the buffer's *contents* passed container
-    /// CRC; this constructor re-establishes every structural invariant the
-    /// gather path relies on, so a corrupt or forged payload is a typed
-    /// [`FormatError`], never a panic or wild read.
+    /// Packs raw label columns, choosing each column's base and bit width
+    /// from its actual value range, into a buffer of the view's own.
+    pub(crate) fn pack(cols: &SoaLabels) -> Self {
+        let payload: Arc<[u8]> = Arc::from(encode(cols));
+        let len = payload.len();
+        Self::bind(payload, 0, len).expect("a freshly packed payload binds")
+    }
+
+    /// Binds a view to the packed payload at `buf[start .. start + len_bytes]`,
+    /// validating the header and exact layout without decoding the q
+    /// columns. The caller vouches that the buffer's *contents* passed
+    /// container CRC; this constructor re-establishes every structural
+    /// invariant the gather path relies on, so a corrupt or forged payload
+    /// is a typed [`FormatError`], never a panic or wild read.
     pub fn bind(buf: Arc<[u8]>, start: usize, len_bytes: usize) -> Result<Self, FormatError> {
         let end = start
             .checked_add(len_bytes)
             .filter(|&e| e <= buf.len())
             .ok_or(FormatError::Truncated { offset: buf.len() })?;
-        let h = parse_aligned_header(&buf[start..end])?;
+        let payload = &buf[start..end];
+        if payload.len() < ALIGNED_HEADER_BYTES {
+            return Err(FormatError::Truncated {
+                offset: payload.len(),
+            });
+        }
+        let version = payload[0];
+        if version != PACKED_ALIGNED_VERSION {
+            return Err(FormatError::UnsupportedVersion(u16::from(version)));
+        }
+        let mut frames = [(0u32, 0u32); 4];
+        for (slot, f) in frames.iter_mut().enumerate() {
+            let at = 1 + slot * 5;
+            let base = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+            let width = u32::from(payload[at + 4]);
+            if width > 32 {
+                return Err(FormatError::Malformed("packed column width exceeds 32 bits"));
+            }
+            let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
+            if u64::from(base) + mask > u64::from(u32::MAX) {
+                return Err(FormatError::Malformed("packed column range overflows u32"));
+            }
+            *f = (base, width);
+        }
+        if payload[21..24] != [0, 0, 0] || payload[36..40] != [0, 0, 0, 0] {
+            return Err(FormatError::Malformed("aligned header padding is not zero"));
+        }
+        let len = u64::from_le_bytes(payload[24..32].try_into().expect("8 bytes"));
+        if len > u64::from(u32::MAX) {
+            return Err(FormatError::Malformed(
+                "packed columns exceed the vertex id space",
+            ));
+        }
+        let origin_bound = u32::from_le_bytes(payload[32..36].try_into().expect("4 bytes"));
         let mut cols = [ViewCol {
             base: 0,
             width: 0,
             off: 0,
         }; 4];
-        for (slot, c) in cols.iter_mut().enumerate() {
-            let (base, width) = h.frames[slot];
+        let mut total = ALIGNED_HEADER_BYTES as u64;
+        for (c, &(base, width)) in cols.iter_mut().zip(&frames) {
             *c = ViewCol {
                 base,
                 width,
-                off: start + h.col_offs[slot],
+                off: start + total as usize,
             };
+            total += (word_count(len, width) as u64 + 1) * 8;
         }
-        Ok(PackedColumnsView {
+        match (payload.len() as u64).cmp(&total) {
+            std::cmp::Ordering::Less => {
+                return Err(FormatError::Truncated {
+                    offset: payload.len(),
+                })
+            }
+            std::cmp::Ordering::Greater => {
+                return Err(FormatError::TrailingBytes {
+                    extra: (payload.len() as u64 - total) as usize,
+                })
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+        for c in &cols {
+            let pad = c.off - start + word_count(len, c.width) * 8;
+            if payload[pad..pad + 8] != [0u8; 8] {
+                return Err(FormatError::Malformed("aligned column padding is not zero"));
+            }
+        }
+        let view = PackedColumnsView {
             buf,
             start,
-            total: h.total,
-            len: h.len,
+            total: total as usize,
+            len: len as usize,
             cols,
-            origin_bound: h.origin_bound,
-        })
+            origin_bound,
+        };
+        // The stored bound sizes the sweep's probe table, so it must be
+        // the honest one. A zero-width origin column is closed-form;
+        // otherwise the scan is bounded by the stored words (the layout
+        // check above ties `len` to the payload size), so a forged count
+        // cannot buy unbounded work.
+        let origin = view.cols[3];
+        let honest = if view.len == 0 {
+            0
+        } else if origin.width == 0 {
+            origin.base.saturating_add(1)
+        } else {
+            (0..view.len)
+                .map(|i| view.col_get(origin, i))
+                .max()
+                .map_or(0, |m| m.saturating_add(1))
+        };
+        if honest != origin_bound {
+            return Err(FormatError::Malformed(
+                "aligned origin bound does not match the stored column",
+            ));
+        }
+        Ok(view)
     }
 
     /// Decodes element `i` of one column straight out of the shared
@@ -624,49 +308,41 @@ impl PackedColumnsView {
         )
     }
 
-    /// Re-gathers the label of vertex `v` from the shared buffer. The
-    /// origin is clamped under the validated bound (see the type docs).
+    /// Re-gathers the label of vertex `v` from the shared buffer (spot
+    /// checks and the scalar probe path; the batch paths decode inside
+    /// the sweep).
     pub fn label(&self, v: RunVertexId) -> RunLabel {
         let i = v.index();
         assert!(i < self.len, "query vertex out of range");
-        let origin = self
-            .col_get(self.cols[3], i)
-            .min(self.origin_bound.saturating_sub(1));
         RunLabel {
             q1: self.col_get(self.cols[0], i),
             q2: self.col_get(self.cols[1], i),
             q3: self.col_get(self.cols[2], i),
-            origin: wfp_model::ModuleId(origin),
+            origin: wfp_model::ModuleId(self.col_get(self.cols[3], i)),
         }
     }
 
-    /// Bytes of the shared buffer this view spans (header + columns) —
-    /// the resident cost attributed to the run while the buffer is held.
+    /// Bytes of the buffer this view spans (header + columns) — the
+    /// resident cost attributed to the run while the buffer is held.
     pub fn memory_bytes(&self) -> usize {
         self.total
     }
 
-    /// The exact aligned payload this view was bound to.
+    /// The exact packed payload this view serves — what a snapshot
+    /// writes back, verbatim.
     pub(crate) fn payload_bytes(&self) -> &[u8] {
         &self.buf[self.start..self.start + self.total]
     }
 
-    /// Decodes back to raw `u32` columns, byte-identical to what the
-    /// owned decode of the same payload would unpack.
+    /// Decodes back to raw `u32` columns — byte-identical to the columns
+    /// that were packed.
     pub fn unpack(&self) -> SoaLabels {
         let col = |c: ViewCol| (0..self.len).map(|i| self.col_get(c, i)).collect::<Vec<u32>>();
-        // origins ride through the same clamp as `origin_of`: a forged
-        // in-range bound must not let an out-of-bound origin escape into
-        // decoded form either
-        let cap = self.origin_bound.saturating_sub(1);
-        let origins = (0..self.len)
-            .map(|i| self.col_get(self.cols[3], i).min(cap))
-            .collect::<Vec<u32>>();
         SoaLabels::from_raw_columns(
             col(self.cols[0]),
             col(self.cols[1]),
             col(self.cols[2]),
-            origins,
+            col(self.cols[3]),
         )
         .expect("view columns share one length")
     }
@@ -702,11 +378,7 @@ impl ColumnGather for PackedColumnsView {
 
     #[inline(always)]
     fn origin_of(&self, i: usize) -> u32 {
-        // Clamp under the validated bound so a forged payload can never
-        // index past the sweep's probe table; honest origins are always
-        // below the bound and pass through unchanged.
         self.col_get(self.cols[3], i)
-            .min(self.origin_bound.saturating_sub(1))
     }
 
     #[inline(always)]
@@ -715,144 +387,13 @@ impl ColumnGather for PackedColumnsView {
     }
 }
 
-/// Either resident form of one frozen run's packed label columns:
-/// **owned** (decoded `Vec<u64>` frames, [`PackedColumns`]) or a
-/// **zero-copy view** into a shared snapshot buffer
-/// ([`PackedColumnsView`]). Fleet slots, the registry, and the serving
-/// loops handle both through one type, and the sweep kernel runs the same
-/// monomorphized block bodies for each — answers are byte-identical by
-/// construction.
+/// The resident form of a packed run, as
+/// [`PackedRunHandle::from_store`] takes it. Every packed run is a
+/// [`PackedColumnsView`]; the enum keeps `from_store` callers building.
 #[derive(Clone, Debug)]
 pub enum PackedStore {
-    /// Decoded, heap-owned packed columns.
-    Owned(PackedColumns),
-    /// Borrowed packed words in a validated shared snapshot buffer.
+    /// Packed words served in place out of a validated buffer.
     View(PackedColumnsView),
-}
-
-impl PackedStore {
-    /// Number of packed labels.
-    pub fn len(&self) -> usize {
-        match self {
-            PackedStore::Owned(c) => c.len(),
-            PackedStore::View(v) => v.len(),
-        }
-    }
-
-    /// Whether no labels are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exclusive upper bound on the stored origin ids (0 when empty).
-    pub fn origin_bound(&self) -> u32 {
-        match self {
-            PackedStore::Owned(c) => c.origin_bound(),
-            PackedStore::View(v) => v.origin_bound(),
-        }
-    }
-
-    /// The four per-column bit widths `(q1, q2, q3, origin)`.
-    pub fn widths(&self) -> (u32, u32, u32, u32) {
-        match self {
-            PackedStore::Owned(c) => c.widths(),
-            PackedStore::View(v) => v.widths(),
-        }
-    }
-
-    /// Re-gathers the label of vertex `v`.
-    pub fn label(&self, v: RunVertexId) -> RunLabel {
-        match self {
-            PackedStore::Owned(c) => c.label(v),
-            PackedStore::View(v_) => v_.label(v),
-        }
-    }
-
-    /// Resident bytes attributed to the run: heap frames when owned, the
-    /// spanned slice of the shared buffer when viewed.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            PackedStore::Owned(c) => c.memory_bytes(),
-            PackedStore::View(v) => v.memory_bytes(),
-        }
-    }
-
-    /// Whether the run is served zero-copy out of a shared snapshot
-    /// buffer rather than from decoded heap frames.
-    pub fn is_zero_copy(&self) -> bool {
-        matches!(self, PackedStore::View(_))
-    }
-
-    /// Decodes back to raw `u32` columns.
-    pub fn unpack(&self) -> SoaLabels {
-        match self {
-            PackedStore::Owned(c) => c.unpack(),
-            PackedStore::View(v) => v.unpack(),
-        }
-    }
-
-    /// The aligned snapshot payload for this store: a view hands back its
-    /// validated payload verbatim (still no decode), owned columns encode
-    /// their frames.
-    pub(crate) fn to_aligned_payload(&self) -> Vec<u8> {
-        match self {
-            PackedStore::Owned(c) => c.to_aligned_payload(),
-            PackedStore::View(v) => v.payload_bytes().to_vec(),
-        }
-    }
-}
-
-impl From<PackedColumns> for PackedStore {
-    fn from(cols: PackedColumns) -> Self {
-        PackedStore::Owned(cols)
-    }
-}
-
-impl From<PackedColumnsView> for PackedStore {
-    fn from(view: PackedColumnsView) -> Self {
-        PackedStore::View(view)
-    }
-}
-
-impl ColumnGather for PackedStore {
-    type Coord = u32;
-
-    #[inline(always)]
-    fn lane_count(&self) -> usize {
-        self.len()
-    }
-
-    #[inline(always)]
-    fn coords(&self, i: usize) -> (u32, u32, u32) {
-        match self {
-            PackedStore::Owned(c) => c.coords(i),
-            PackedStore::View(v) => v.coords(i),
-        }
-    }
-
-    #[inline(always)]
-    fn origin_of(&self, i: usize) -> u32 {
-        match self {
-            PackedStore::Owned(c) => c.origin_of(i),
-            PackedStore::View(v) => v.origin_of(i),
-        }
-    }
-
-    #[inline(always)]
-    fn origin_bound(&self) -> u32 {
-        PackedStore::origin_bound(self)
-    }
-
-    /// Delegates whole 64-lane blocks to the inner store, so the enum is
-    /// matched once per block and the monomorphized inner loop stays pure
-    /// straight-line arithmetic — no per-lane dispatch.
-    #[inline]
-    fn block_masks(&self, chunk: &[(RunVertexId, RunVertexId)]) -> (u64, u64) {
-        match self {
-            PackedStore::Owned(c) => c.block_masks(chunk),
-            PackedStore::View(v) => v.block_masks(chunk),
-        }
-    }
 }
 
 /// A batched reachability engine over one **packed** run — the
@@ -875,8 +416,8 @@ impl<S: SpecIndex> PackedEngine<S> {
         self.run.vertex_count()
     }
 
-    /// The packed label columns (owned or zero-copy).
-    pub fn columns(&self) -> &PackedStore {
+    /// The packed label columns.
+    pub fn columns(&self) -> &PackedColumnsView {
         self.run.columns()
     }
 
@@ -944,7 +485,7 @@ impl<S: SpecIndex> PackedEngine<S> {
 /// labels, then the same memoized predicate as the raw path.
 #[inline]
 pub(crate) fn answer_one_packed<S: SpecIndex>(
-    cols: &PackedStore,
+    cols: &PackedColumnsView,
     ctx: &SpecContext<S>,
     u: RunVertexId,
     v: RunVertexId,
@@ -987,11 +528,10 @@ mod tests {
     fn pack_round_trips_every_scheme_and_shrinks() {
         for &kind in &SchemeKind::ALL {
             let cols = paper_columns(kind);
-            let packed = PackedColumns::pack(&cols);
+            let packed = PackedColumnsView::pack(&cols);
             assert_eq!(packed.len(), cols.len());
             assert_eq!(packed.origin_bound(), cols.origin_bound());
-            let back = packed.unpack();
-            assert_eq!(back.raw_columns(), cols.raw_columns(), "{kind}");
+            assert_eq!(packed.unpack().raw_columns(), cols.raw_columns(), "{kind}");
             assert!(
                 packed.memory_bytes() < cols.len() * 16,
                 "{kind}: packed columns did not shrink"
@@ -1002,128 +542,76 @@ mod tests {
     #[test]
     fn payload_round_trips_and_preserves_every_value() {
         let cols = paper_columns(SchemeKind::Bfs);
-        let packed = PackedColumns::pack(&cols);
-        let bytes = packed.to_payload();
-        let decoded = PackedColumns::from_payload(&bytes).unwrap();
+        let packed = PackedColumnsView::pack(&cols);
+        let bytes = packed.payload_bytes().to_vec();
+        let len = bytes.len();
+        let decoded = PackedColumnsView::bind(Arc::from(bytes), 0, len).unwrap();
         assert_eq!(decoded.unpack().raw_columns(), cols.raw_columns());
         assert_eq!(decoded.origin_bound(), packed.origin_bound());
         assert_eq!(decoded.widths(), packed.widths());
-    }
-
-    #[test]
-    fn degenerate_widths_zero_one_and_full() {
-        // width 0 (constant column), width 1 (two values), width 32
-        // (extremes of the u32 range) all pack and round-trip.
-        let n = 130; // crosses two 64-lane blocks with a partial tail
-        let q1: Vec<u32> = (0..n).collect();
-        let q2: Vec<u32> = (0..n).map(|i| 7 + (i & 1)).collect();
-        let q3: Vec<u32> = (0..n).map(|i| if i == 13 { u32::MAX } else { 0 }).collect();
-        let origin: Vec<u32> = vec![5; n as usize];
-        let cols =
-            SoaLabels::from_raw_columns(q1, q2, q3, origin).expect("equal lengths");
-        let packed = PackedColumns::pack(&cols);
-        assert_eq!(packed.widths().1, 1);
-        assert_eq!(packed.widths().2, 32);
-        assert_eq!(packed.widths().3, 0);
-        assert_eq!(packed.origin_bound(), 6);
-        let bytes = packed.to_payload();
-        let decoded = PackedColumns::from_payload(&bytes).unwrap();
-        assert_eq!(decoded.unpack().raw_columns(), cols.raw_columns());
-        assert_eq!(decoded.origin_bound(), 6);
-
-        let empty = PackedColumns::pack(&SoaLabels::new());
-        let bytes = empty.to_payload();
-        let decoded = PackedColumns::from_payload(&bytes).unwrap();
-        assert_eq!(decoded.len(), 0);
-        assert_eq!(decoded.origin_bound(), 0);
-    }
-
-    #[test]
-    fn forged_headers_are_rejected() {
-        let cols = paper_columns(SchemeKind::Dfs);
-        let good = PackedColumns::pack(&cols).to_payload();
-
-        // Unknown payload version.
-        let mut bad = good.clone();
-        bad[0] = PACKED_VERSION + 1;
-        assert_eq!(
-            PackedColumns::from_payload(&bad),
-            Err(FormatError::UnsupportedVersion(u16::from(PACKED_VERSION + 1)))
-        );
-
-        // Width beyond 32 bits (first column header's width byte).
-        let mut bad = good.clone();
-        bad[5] = 33;
-        assert_eq!(
-            PackedColumns::from_payload(&bad),
-            Err(FormatError::Malformed("packed column width exceeds 32 bits"))
-        );
-
-        // base + mask overflowing u32: max base with a wide column.
-        let mut bad = good.clone();
-        bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            PackedColumns::from_payload(&bad),
-            Err(FormatError::Malformed("packed column range overflows u32"))
-        );
-
-        // Truncation anywhere inside the words must error, never panic.
-        for cut in 0..good.len() {
-            assert!(
-                PackedColumns::from_payload(&good[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
+        for i in 0..cols.len() {
+            let v = RunVertexId(i as u32);
+            assert_eq!(decoded.label(v), cols.label(v), "label {i}");
         }
-
-        // Trailing garbage is rejected.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(PackedColumns::from_payload(&bad).is_err());
     }
 
     #[test]
     fn aligned_payload_round_trips_every_scheme() {
         for &kind in &SchemeKind::ALL {
             let cols = paper_columns(kind);
-            let packed = PackedColumns::pack(&cols);
-            let bytes = packed.to_aligned_payload();
+            let packed = PackedColumnsView::pack(&cols);
+            let bytes = packed.payload_bytes().to_vec();
             assert_eq!(bytes.len() % 8, 0, "{kind}: payload not word-sized");
-            let decoded = PackedColumns::from_aligned_payload(&bytes).unwrap();
-            assert_eq!(decoded, packed, "{kind}");
-            assert_eq!(decoded.unpack().raw_columns(), cols.raw_columns(), "{kind}");
+            assert_eq!(bytes.len(), packed.memory_bytes());
+            // a rebind of the written bytes serves, and writes, the same
+            let len = bytes.len();
+            let rebound = PackedColumnsView::bind(Arc::from(bytes.clone()), 0, len).unwrap();
+            assert_eq!(rebound.widths(), packed.widths(), "{kind}");
+            assert_eq!(rebound.origin_bound(), packed.origin_bound(), "{kind}");
+            assert_eq!(rebound.unpack().raw_columns(), cols.raw_columns(), "{kind}");
+            assert_eq!(rebound.payload_bytes(), &bytes[..], "{kind}");
         }
     }
 
     #[test]
     fn view_serves_byte_identical_to_owned() {
+        // A sealed run's view owns its buffer; a loaded run's view is
+        // bound into a shared load buffer. Both must serve the same bytes.
         for &kind in &SchemeKind::ALL {
             let cols = paper_columns(kind);
-            let packed = PackedColumns::pack(&cols);
-            let buf: Arc<[u8]> = Arc::from(packed.to_aligned_payload());
+            let owned = PackedColumnsView::pack(&cols);
+            let buf: Arc<[u8]> = Arc::from(owned.payload_bytes());
             let view = PackedColumnsView::bind(Arc::clone(&buf), 0, buf.len()).unwrap();
-            assert_eq!(view.len(), packed.len());
-            assert_eq!(view.origin_bound(), packed.origin_bound());
-            assert_eq!(view.widths(), packed.widths());
+            assert_eq!(view.len(), owned.len());
+            assert_eq!(view.origin_bound(), owned.origin_bound());
+            assert_eq!(view.widths(), owned.widths());
             assert_eq!(view.memory_bytes(), buf.len());
             assert_eq!(view.unpack().raw_columns(), cols.raw_columns(), "{kind}");
-            for i in 0..packed.len() {
+            let (q1, q2, q3, origin) = cols.raw_columns();
+            for i in 0..owned.len() {
                 let v = RunVertexId(i as u32);
-                assert_eq!(view.label(v), packed.label(v), "{kind} label {i}");
-                assert_eq!(view.coords(i), packed.coords(i), "{kind} coords {i}");
-                assert_eq!(view.origin_of(i), packed.origin_of(i), "{kind} origin {i}");
+                assert_eq!(view.label(v), owned.label(v), "{kind} label {i}");
+                assert_eq!(view.label(v), cols.label(v), "{kind} label {i}");
+                assert_eq!(view.coords(i), owned.coords(i), "{kind} coords {i}");
+                assert_eq!(view.coords(i), (q1[i], q2[i], q3[i]), "{kind} coords {i}");
+                assert_eq!(view.origin_of(i), owned.origin_of(i), "{kind} origin {i}");
+                assert_eq!(view.origin_of(i), origin[i], "{kind} origin {i}");
             }
-            // A view handed back as a store re-serializes verbatim.
-            let store = PackedStore::from(view);
-            assert!(store.is_zero_copy());
-            assert_eq!(store.to_aligned_payload(), &buf[..]);
+            // A view handed over as a store keeps sharing the buffer and
+            // re-serializes verbatim.
+            let handle = PackedRunHandle::from_store(PackedStore::View(view));
+            assert!(
+                Arc::ptr_eq(&handle.columns().buf, &buf),
+                "{kind}: store copied"
+            );
+            assert_eq!(handle.columns().payload_bytes(), &buf[..]);
         }
     }
 
     #[test]
     fn view_binds_at_nonzero_offset_inside_a_larger_buffer() {
         let cols = paper_columns(SchemeKind::Hop2);
-        let packed = PackedColumns::pack(&cols);
-        let payload = packed.to_aligned_payload();
+        let payload = PackedColumnsView::pack(&cols).payload_bytes().to_vec();
         let mut framed = vec![0xAAu8; 16];
         framed.extend_from_slice(&payload);
         framed.extend_from_slice(&[0xBB; 24]);
@@ -1142,29 +630,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn aligned_degenerate_widths_and_empty() {
+    /// Columns at width 8, 1 (two values), 32 (extremes of the u32
+    /// range) and 0 (constant), across two 64-lane blocks with a partial
+    /// tail.
+    fn degenerate_columns() -> SoaLabels {
         let n = 130u32;
         let q1: Vec<u32> = (0..n).collect();
         let q2: Vec<u32> = (0..n).map(|i| 7 + (i & 1)).collect();
         let q3: Vec<u32> = (0..n).map(|i| if i == 13 { u32::MAX } else { 0 }).collect();
         let origin: Vec<u32> = vec![5; n as usize];
-        let cols = SoaLabels::from_raw_columns(q1, q2, q3, origin).expect("equal lengths");
-        let packed = PackedColumns::pack(&cols);
-        let bytes = packed.to_aligned_payload();
-        let plen = bytes.len();
-        let decoded = PackedColumns::from_aligned_payload(&bytes).unwrap();
-        assert_eq!(decoded.unpack().raw_columns(), cols.raw_columns());
-        let view = PackedColumnsView::bind(Arc::from(bytes), 0, plen).unwrap();
-        assert_eq!(view.unpack().raw_columns(), cols.raw_columns());
-        assert_eq!(view.origin_bound(), 6);
+        SoaLabels::from_raw_columns(q1, q2, q3, origin).expect("equal lengths")
+    }
 
-        let empty = PackedColumns::pack(&SoaLabels::new());
-        let bytes = empty.to_aligned_payload();
-        // Empty columns are header + four pad words only.
-        assert_eq!(bytes.len(), 40 + 4 * 8);
-        let decoded = PackedColumns::from_aligned_payload(&bytes).unwrap();
+    #[test]
+    fn degenerate_widths_zero_one_and_full() {
+        let cols = degenerate_columns();
+        let packed = PackedColumnsView::pack(&cols);
+        assert_eq!(packed.widths(), (8, 1, 32, 0));
+        assert_eq!(packed.origin_bound(), 6);
+        let bytes = packed.payload_bytes().to_vec();
+        let len = bytes.len();
+        let decoded = PackedColumnsView::bind(Arc::from(bytes), 0, len).unwrap();
+        assert_eq!(decoded.unpack().raw_columns(), cols.raw_columns());
+        assert_eq!(decoded.origin_bound(), 6);
+        let (q1, q2, q3, origin) = cols.raw_columns();
+        for i in 0..cols.len() {
+            assert_eq!(decoded.coords(i), (q1[i], q2[i], q3[i]), "coords {i}");
+            assert_eq!(decoded.origin_of(i), origin[i], "origin {i}");
+        }
+
+        let empty = PackedColumnsView::pack(&SoaLabels::new());
+        let bytes = empty.payload_bytes().to_vec();
+        let len = bytes.len();
+        let decoded = PackedColumnsView::bind(Arc::from(bytes), 0, len).unwrap();
         assert_eq!(decoded.len(), 0);
+        assert_eq!(decoded.origin_bound(), 0);
+    }
+
+    #[test]
+    fn aligned_degenerate_widths_and_empty() {
+        let view = PackedColumnsView::pack(&degenerate_columns());
+        // Each column region is its packed words plus one pad word
+        // (17 + 1, 3 + 1, 65 + 1 and 0 + 1 words for 130 lanes at widths
+        // 8, 1, 32, 0) and starts 8-byte-aligned from the payload start.
+        assert_eq!(view.memory_bytes(), 40 + (18 + 4 + 66 + 1) * 8);
+        for c in &view.cols {
+            assert_eq!((c.off - view.start) % 8, 0, "width {} column", c.width);
+        }
+
+        let empty = PackedColumnsView::pack(&SoaLabels::new());
+        // Empty columns are header + four pad words only.
+        assert_eq!(empty.memory_bytes(), 40 + 4 * 8);
+        assert!(empty.is_empty());
+        assert_eq!(empty.origin_bound(), 0);
+        let bytes = empty.payload_bytes().to_vec();
         let view = PackedColumnsView::bind(Arc::from(bytes), 0, 72).unwrap();
         assert!(view.is_empty());
         assert_eq!(view.origin_bound(), 0);
@@ -1172,47 +691,49 @@ mod tests {
 
     #[test]
     fn aligned_forged_headers_are_typed_errors_on_both_paths() {
-        let cols = paper_columns(SchemeKind::Dfs);
-        let packed = PackedColumns::pack(&cols);
-        let good = packed.to_aligned_payload();
+        let good = PackedColumnsView::pack(&paper_columns(SchemeKind::Dfs))
+            .payload_bytes()
+            .to_vec();
+        // the two paths: a buffer holding exactly the payload, and the
+        // payload framed at an offset inside a larger buffer (the shape of
+        // a snapshot load buffer); both must agree on every verdict
         let both = |bytes: &[u8]| {
-            let owned = PackedColumns::from_aligned_payload(bytes);
-            let bound = PackedColumnsView::bind(Arc::from(bytes.to_vec()), 0, bytes.len())
+            let exact = PackedColumnsView::bind(Arc::from(bytes.to_vec()), 0, bytes.len())
                 .map(|v| v.unpack());
-            (owned, bound)
+            let mut framed = vec![0u8; 16];
+            framed.extend_from_slice(bytes);
+            framed.extend_from_slice(&[0u8; 8]);
+            let framed = PackedColumnsView::bind(Arc::from(framed), 16, bytes.len())
+                .map(|v| v.unpack());
+            assert_eq!(
+                exact.as_ref().err(),
+                framed.as_ref().err(),
+                "offset changed the verdict"
+            );
+            exact
         };
 
         // Unknown payload version.
         let mut bad = good.clone();
         bad[0] = PACKED_ALIGNED_VERSION + 1;
-        let want = FormatError::UnsupportedVersion(u16::from(PACKED_ALIGNED_VERSION + 1));
-        let (owned, view) = both(&bad);
-        assert_eq!(owned.unwrap_err(), want);
-        assert_eq!(view.unwrap_err(), want);
+        assert_eq!(
+            both(&bad).unwrap_err(),
+            FormatError::UnsupportedVersion(u16::from(PACKED_ALIGNED_VERSION + 1))
+        );
 
         // Width beyond 32 bits (first frame's width byte).
         let mut bad = good.clone();
         bad[5] = 33;
-        let (owned, view) = both(&bad);
         assert_eq!(
-            owned.unwrap_err(),
-            FormatError::Malformed("packed column width exceeds 32 bits")
-        );
-        assert_eq!(
-            view.unwrap_err(),
+            both(&bad).unwrap_err(),
             FormatError::Malformed("packed column width exceeds 32 bits")
         );
 
         // base + mask overflowing the u32 value space.
         let mut bad = good.clone();
         bad[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
-        let (owned, view) = both(&bad);
         assert_eq!(
-            owned.unwrap_err(),
-            FormatError::Malformed("packed column range overflows u32")
-        );
-        assert_eq!(
-            view.unwrap_err(),
+            both(&bad).unwrap_err(),
             FormatError::Malformed("packed column range overflows u32")
         );
 
@@ -1220,14 +741,8 @@ mod tests {
         for at in [21usize, 22, 23, 36, 37, 38, 39] {
             let mut bad = good.clone();
             bad[at] = 1;
-            let (owned, view) = both(&bad);
             assert_eq!(
-                owned.unwrap_err(),
-                FormatError::Malformed("aligned header padding is not zero"),
-                "pad byte {at}"
-            );
-            assert_eq!(
-                view.unwrap_err(),
+                both(&bad).unwrap_err(),
                 FormatError::Malformed("aligned header padding is not zero"),
                 "pad byte {at}"
             );
@@ -1239,36 +754,20 @@ mod tests {
         let mut bad = good.clone();
         let end = bad.len();
         bad[end - 1] = 0x80;
-        let (owned, view) = both(&bad);
         assert_eq!(
-            owned.unwrap_err(),
-            FormatError::Malformed("aligned column padding is not zero")
-        );
-        assert_eq!(
-            view.unwrap_err(),
+            both(&bad).unwrap_err(),
             FormatError::Malformed("aligned column padding is not zero")
         );
 
-        // Origin bound outside the frame's representable range: rejected
-        // by the shared header check on both paths.
+        // An origin bound that is not the stored column's maximum plus
+        // one is rejected by the rescan: one far outside the frame's
+        // range, and — over synthetic columns that keep the frame's slack
+        // explicit — ones inside it. Origins {3, 5} pack at width 2 (mask
+        // 3), so the honest bound is 6 and 7 and 4 are in range but wrong.
         let mut bad = good.clone();
         bad[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let (owned, view) = both(&bad);
-        assert_eq!(
-            owned.unwrap_err(),
-            FormatError::Malformed("aligned origin bound out of range")
-        );
-        assert_eq!(
-            view.unwrap_err(),
-            FormatError::Malformed("aligned origin bound out of range")
-        );
-
-        // Origin bound in range but *wrong*: the owned decode's honest
-        // rescan rejects it; the view accepts (it cannot afford the scan)
-        // but clamps, so every served origin still lands under the forged
-        // bound. Synthetic columns keep the frame's slack explicit:
-        // origins {3,5} pack at width 2 (mask 3), honest bound 6, so 7 is
-        // in range but a lie.
+        let mismatch = FormatError::Malformed("aligned origin bound does not match the stored column");
+        assert_eq!(both(&bad).unwrap_err(), mismatch);
         let synth = SoaLabels::from_raw_columns(
             vec![0, 1, 2],
             vec![0, 1, 2],
@@ -1276,39 +775,26 @@ mod tests {
             vec![3, 5, 3],
         )
         .expect("equal lengths");
-        let synth_packed = PackedColumns::pack(&synth);
+        let synth_packed = PackedColumnsView::pack(&synth);
         assert_eq!(synth_packed.origin_bound(), 6);
-        let synth_good = synth_packed.to_aligned_payload();
+        assert_eq!(synth_packed.widths().3, 2);
+        let synth_good = synth_packed.payload_bytes().to_vec();
         for forged in [7u32, 4] {
             let mut bad = synth_good.clone();
             bad[32..36].copy_from_slice(&forged.to_le_bytes());
-            let (owned, view) = both(&bad);
-            assert_eq!(
-                owned.unwrap_err(),
-                FormatError::Malformed("aligned origin bound does not match the stored column"),
-                "forged bound {forged}"
-            );
-            let served = view.expect("in-range bound binds");
-            assert!(
-                served.raw_columns().3.iter().all(|&o| o < forged),
-                "forged bound {forged}: a served origin escaped the clamp"
-            );
+            assert_eq!(both(&bad).unwrap_err(), mismatch, "forged bound {forged}");
         }
 
         // Truncation at every offset: typed error, never a panic, on both
         // paths.
         for cut in 0..good.len() {
-            let (owned, view) = both(&good[..cut]);
-            assert!(owned.is_err(), "owned decoded a prefix of {cut} bytes");
-            assert!(view.is_err(), "view bound a prefix of {cut} bytes");
+            assert!(both(&good[..cut]).is_err(), "bound a prefix of {cut} bytes");
         }
 
         // Trailing bytes are rejected with the exact surplus.
         let mut bad = good.clone();
         bad.extend_from_slice(&[0u8; 8]);
-        let (owned, view) = both(&bad);
-        assert_eq!(owned.unwrap_err(), FormatError::TrailingBytes { extra: 8 });
-        assert_eq!(view.unwrap_err(), FormatError::TrailingBytes { extra: 8 });
+        assert_eq!(both(&bad).unwrap_err(), FormatError::TrailingBytes { extra: 8 });
     }
 
     #[test]

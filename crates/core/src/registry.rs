@@ -50,10 +50,10 @@ use crate::snapshot::{
 pub const MANIFEST_FILE: &str = "registry.manifest";
 
 /// Version byte of the manifest payload layout (inside the container's
-/// own versioned framing). Version 2 adds each entry's snapshot byte
+/// own versioned framing). Version 2 carries each entry's snapshot byte
 /// size, so [`ServiceRegistry::open_dir`] can seed its budget accounting
-/// before the first fault-in; version 1 manifests still read (size 0,
-/// reconciled on first load).
+/// before the first fault-in. It is the only version read; version 1,
+/// which lacked the sizes, is retired.
 pub const MANIFEST_VERSION: u8 = 2;
 
 // ====================================================================
@@ -204,10 +204,9 @@ pub struct ManifestEntry {
     /// Runs the fleet held when the manifest was written (informational —
     /// the snapshot itself is authoritative).
     pub runs: usize,
-    /// Size of the snapshot file in bytes when the manifest was written
-    /// (v2; zero for v1 manifests). Seeds the registry's pre-load budget
-    /// estimate and is reconciled against actual resident bytes on the
-    /// first fault-in.
+    /// Size of the snapshot file in bytes when the manifest was written.
+    /// Seeds the registry's pre-load budget estimate and is reconciled
+    /// against actual resident bytes on the first fault-in.
     pub bytes: usize,
 }
 
@@ -238,7 +237,7 @@ pub fn read_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>, FormatError> {
     let r = SnapshotReader::parse(bytes)?;
     let mut cur = Cursor::new(r.first(seg::REGISTRY_MANIFEST)?);
     let version = cur.u8()?;
-    if version != 1 && version != MANIFEST_VERSION {
+    if version != MANIFEST_VERSION {
         return Err(FormatError::UnsupportedVersion(version as u16));
     }
     // each entry costs at least 8 (id) + 1 (tag) + 2 (min file) + 1 (runs)
@@ -254,9 +253,7 @@ pub fn read_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>, FormatError> {
         if runs > u32::MAX as u64 {
             return Err(FormatError::Malformed("manifest run count exceeds u32"));
         }
-        // v1 predates per-entry sizes; the estimate is reconciled on the
-        // first fault-in either way
-        let bytes = if version >= 2 { cur.varint()? } else { 0 };
+        let bytes = cur.varint()?;
         if !seen.insert(id.0) {
             return Err(FormatError::Malformed("duplicate spec id in manifest"));
         }
@@ -407,11 +404,12 @@ pub struct RegistryStats {
     /// (parse + bind/decode), so benches can attribute reload cost.
     pub decode_ms: f64,
     /// Frozen runs currently serving in bit-packed form, summed over the
-    /// resident fleets (see [`ServiceRegistry::set_packed_tier`]).
+    /// resident fleets (see [`ServiceRegistry::seal_packed`]).
     pub packed_runs: usize,
-    /// Packed runs served zero-copy out of a shared snapshot buffer,
-    /// summed over the resident fleets — a subset of
-    /// [`packed_runs`](Self::packed_runs).
+    /// Packed runs served out of a [`crate::PackedColumnsView`], summed
+    /// over the resident fleets. Every packed run is one, so this always
+    /// equals [`packed_runs`](Self::packed_runs); it stays for callers
+    /// that read it.
     pub zero_copy_runs: usize,
 }
 
@@ -426,9 +424,6 @@ pub struct ServiceRegistry<'s> {
     by_id: FxHashMap<u64, usize>,
     store: Store,
     budget: Option<usize>,
-    /// When on, pressure seals a victim's raw runs into packed columns
-    /// before resorting to a full offload.
-    packed_tier: bool,
     clock: u64,
     evictions: u64,
     lazy_loads: u64,
@@ -451,7 +446,6 @@ impl<'s> ServiceRegistry<'s> {
             by_id: FxHashMap::default(),
             store: Store::Memory(FxHashMap::default()),
             budget: None,
-            packed_tier: false,
             clock: 0,
             evictions: 0,
             lazy_loads: 0,
@@ -528,7 +522,6 @@ impl<'s> ServiceRegistry<'s> {
             by_id,
             store: Store::Dir(dir),
             budget,
-            packed_tier: false,
             clock: 0,
             evictions: 0,
             lazy_loads: 0,
@@ -851,23 +844,11 @@ impl<'s> ServiceRegistry<'s> {
         self.enforce_budget(None)
     }
 
-    /// Turns the packed middle tier on or off (default: off). With the
-    /// tier on, budget pressure first seals the LRU victim's raw frozen
-    /// runs into bit-packed columns ([`FleetEngine::seal_packed_all`]) —
-    /// shrinking it in place while it keeps serving — and only offloads
-    /// the fleet entirely if the registry is still over budget once the
-    /// victim is all-packed. Turning the tier on does not re-enforce the
-    /// budget by itself; the next probe (or [`set_budget`](Self::set_budget))
-    /// does.
-    pub fn set_packed_tier(&mut self, on: bool) {
-        self.packed_tier = on;
-    }
-
     /// Seals every raw frozen run of `spec` into bit-packed columns in
     /// place ([`FleetEngine::seal_packed_all`]), reloading the fleet first
     /// if it was offloaded. Returns the number of runs sealed. The next
     /// offload re-serializes (the fleet now diverges from its stored
-    /// snapshot), after which reloads ride the aligned zero-copy path.
+    /// snapshot), after which reloads ride the zero-copy path.
     pub fn seal_packed(&mut self, spec: SpecId) -> Result<usize, RegistryError> {
         let idx = self.index_of(spec)?;
         self.touch(idx)?;
@@ -1191,11 +1172,6 @@ impl<'s> ServiceRegistry<'s> {
     /// the current probe) and fleets with live runs are never victims; if
     /// only those remain, the registry stays over budget rather than
     /// failing — pressure is best-effort, correctness is not.
-    ///
-    /// With the packed tier on ([`set_packed_tier`](Self::set_packed_tier)),
-    /// a victim holding raw frozen runs is first sealed packed in place —
-    /// a middle tier between fully resident and offloaded — and only an
-    /// all-packed victim is dropped to its snapshot.
     fn enforce_budget(&mut self, keep: Option<usize>) -> Result<(), RegistryError> {
         self.pressure(keep, 0)
     }
@@ -1236,17 +1212,6 @@ impl<'s> ServiceRegistry<'s> {
             let Some(i) = victim else {
                 return Ok(());
             };
-            if self.packed_tier {
-                if let State::Resident { fleet, .. } = &mut self.slots[i].state {
-                    if fleet.seal_packed_all() > 0 {
-                        // the victim shrank in place (and now diverges
-                        // from its stored snapshot); re-check the budget
-                        // before deciding whether it must leave memory too
-                        self.slots[i].dirty = true;
-                        continue;
-                    }
-                }
-            }
             self.offload(i)?;
         }
     }
@@ -1442,43 +1407,6 @@ mod tests {
         reg.set_budget(Some(total - 1)).unwrap();
         assert!(!reg.resident(ids[2]), "next LRU victim");
         assert!(reg.resident(ids[0]));
-    }
-
-    #[test]
-    fn packed_tier_seals_the_victim_before_offloading_it() {
-        let spec = paper_spec();
-        let (mut reg, ids, oracles) = build_registry(&spec, None);
-        reg.set_packed_tier(true);
-        assert_eq!(reg.stats().packed_runs, 0);
-        // recency: ids[0] oldest — the first pressure victim
-        for &i in &[0usize, 1, 2] {
-            reg.answer(ids[i], RunId(0), RunVertexId(0), RunVertexId(1))
-                .unwrap();
-        }
-        let total = reg.resident_bytes();
-        // one byte of pressure: the LRU victim packs in place and keeps
-        // serving instead of leaving memory
-        reg.set_budget(Some(total - 1)).unwrap();
-        let stats = reg.stats();
-        assert!(reg.resident(ids[0]), "packing satisfied the pressure");
-        assert_eq!(stats.resident, 3);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.packed_runs, 2, "both of the victim's runs sealed");
-        assert!(stats.resident_bytes < total);
-
-        // the packed representation answers identically
-        let n = paper_run(&spec).vertex_count();
-        let probes = mixed_probes(&ids, n);
-        let want = expected(&probes, &ids, &oracles);
-        assert_eq!(reg.answer_batch(&probes).unwrap(), want);
-
-        // pressure packing alone cannot satisfy: all-packed victims fall
-        // back to a real offload, and reloads still answer identically
-        reg.set_budget(Some(0)).unwrap();
-        let stats = reg.stats();
-        assert!(stats.resident <= 1, "resident={}", stats.resident);
-        assert!(stats.evictions >= 2);
-        assert_eq!(reg.answer_batch(&probes).unwrap(), want);
     }
 
     #[test]
@@ -1929,7 +1857,7 @@ mod tests {
         let before = reg.fleet(id).unwrap().stats().engine;
 
         // first evict: the fleet diverged from the (absent) stored
-        // snapshot, so this serializes; the reload then rides the aligned
+        // snapshot, so this serializes; the reload then rides the
         // zero-copy path over the buffer the offload just stored
         reg.evict(id).unwrap();
         assert!(!reg.resident(id));

@@ -59,17 +59,16 @@
 //!   sub-128 range) merge into one report, live ([`ShardedServer::stats`])
 //!   or at shutdown.
 //!
-//! The single-shard façade of previous revisions is intact: [`serve`]
-//! builds a one-shard server behind the same [`Server`] type, driven by
-//! the identical router/worker machinery.
+//! [`serve_sharded`] is the one entry point; a single-shard server is
+//! `serve_sharded(config, 1, ShardPlan::new(), ...)`.
 //!
 //! ```
 //! use wfp_model::fixtures;
-//! use wfp_skl::serve::{serve, ServeConfig};
+//! use wfp_skl::serve::{serve_sharded, ServeConfig, ShardPlan};
 //! use wfp_skl::{label_run, ServiceRegistry};
 //! use wfp_speclabel::SchemeKind;
 //!
-//! let server = serve(ServeConfig::default(), || {
+//! let server = serve_sharded(ServeConfig::default(), 1, ShardPlan::new(), |_, _| {
 //!     let spec = fixtures::paper_spec();
 //!     let run = fixtures::paper_run(&spec);
 //!     let (labels, _) = label_run(&spec, &run).unwrap();
@@ -79,14 +78,14 @@
 //!     Ok((reg, id))
 //! })
 //! .unwrap();
-//! let id = *server.context();
+//! let id = server.contexts()[0];
 //! let handle = server.handle();
 //! let yes = handle
 //!     .probe(id, wfp_skl::RunId(0), wfp_model::RunVertexId(0), wfp_model::RunVertexId(0))
 //!     .unwrap();
 //! assert!(yes, "reachability is reflexive");
 //! let stats = server.shutdown().unwrap();
-//! assert_eq!(stats.probes_answered, 1);
+//! assert_eq!(stats.merged.probes_answered, 1);
 //! ```
 
 use std::cell::Cell;
@@ -946,45 +945,6 @@ impl<C> ShardedServer<C> {
     }
 }
 
-/// The single-shard façade: the [`serve`] entry point of previous
-/// revisions, now a thin wrapper over a one-shard [`ShardedServer`] —
-/// same router/worker machinery, same semantics, `FnOnce` builder.
-pub struct Server<C = ()> {
-    inner: ShardedServer<C>,
-}
-
-impl<C> Server<C> {
-    /// A new client endpoint.
-    pub fn handle(&self) -> ServeHandle {
-        self.inner.handle()
-    }
-
-    /// The builder's context value (e.g. the registered spec ids).
-    pub fn context(&self) -> &C {
-        &self.inner.contexts()[0]
-    }
-
-    /// A live accounting snapshot (consistent as of the last flush).
-    pub fn stats(&self) -> ServeStats {
-        self.inner.stats()
-    }
-
-    /// Runs `f` against the registry on its worker thread — between
-    /// batches, never concurrently with one — and returns its result.
-    pub fn control<R, F>(&self, f: F) -> Result<R, ServeError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ServiceRegistry<'static>) -> R + Send + 'static,
-    {
-        self.inner.control_shard(0, f)
-    }
-
-    /// Drain-then-stop; see [`ShardedServer::shutdown`].
-    pub fn shutdown(self) -> Result<ServeStats, ServeError> {
-        self.inner.shutdown().map(|s| s.merged)
-    }
-}
-
 /// Spawns the sharded serving loop. `build` runs **on each worker
 /// thread** as `build(shard, shards)` and constructs that shard's
 /// registry there (the search schemes' scratch state is single-threaded
@@ -1103,27 +1063,6 @@ where
             .collect(),
         shards,
     })
-}
-
-/// Spawns a single-shard serving loop. `build` runs **on the worker
-/// thread** and constructs the registry there; whatever context it
-/// returns next to the registry comes back in the [`Server`]. A builder
-/// error tears the loop down and is returned here instead.
-pub fn serve<C, F>(config: ServeConfig, build: F) -> Result<Server<C>, RegistryError>
-where
-    C: Send + 'static,
-    F: FnOnce() -> Result<(ServiceRegistry<'static>, C), RegistryError> + Send + 'static,
-{
-    let once = Mutex::new(Some(build));
-    let inner = serve_sharded(config, 1, ShardPlan::default(), move |_, _| {
-        let build = once
-            .lock()
-            .expect("builder lock")
-            .take()
-            .expect("a single-shard builder runs exactly once");
-        build()
-    })?;
-    Ok(Server { inner })
 }
 
 // ======================================================================
@@ -1533,35 +1472,10 @@ mod tests {
     use wfp_model::fixtures::{paper_run, paper_spec};
     use wfp_speclabel::SpecScheme;
 
-    /// Serves the paper spec under `kinds`, two frozen runs each; context
-    /// is the spec-id list plus each run's vertex count.
-    fn paper_server(
-        config: ServeConfig,
-        kinds: &'static [SchemeKind],
-    ) -> Server<(Vec<SpecId>, usize)> {
-        serve(config, move || {
-            let spec = paper_spec();
-            let run = paper_run(&spec);
-            let n = run.vertex_count();
-            let mut reg = ServiceRegistry::new();
-            let mut ids = Vec::new();
-            for &kind in kinds {
-                let labels = LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run)
-                    .unwrap()
-                    .labels()
-                    .to_vec();
-                let id = reg.register_spec(&spec, kind)?;
-                reg.register_labels(id, &labels)?;
-                reg.register_labels(id, &labels)?;
-                ids.push(id);
-            }
-            Ok((reg, (ids, n)))
-        })
-        .expect("paper registry builds")
-    }
-
-    /// A sharded paper server: every scheme's spec lands on its hash-home
-    /// shard, each worker registering exactly its own specs.
+    /// Serves the paper spec under `kinds`, two frozen runs each, every
+    /// scheme's spec on its hash-home shard (each worker registers exactly
+    /// its own specs). A shard's context is its spec-id list plus each
+    /// run's vertex count.
     fn paper_server_sharded(
         config: ServeConfig,
         shards: usize,
@@ -1614,11 +1528,11 @@ mod tests {
     #[test]
     fn served_answers_match_direct_calls() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm, SchemeKind::Bfs];
-        let server = paper_server(ServeConfig::default(), KINDS);
-        let (ids, n) = server.context().clone();
+        let server = paper_server_sharded(ServeConfig::default(), 1, KINDS);
+        let (ids, n) = server.contexts()[0].clone();
         let probes = all_pairs(&ids, n);
         let want = server
-            .control({
+            .control_shard(0, {
                 let probes = probes.clone();
                 move |reg| reg.answer_batch(&probes).unwrap()
             })
@@ -1631,10 +1545,10 @@ mod tests {
             assert_eq!(handle.probe(p.0, p.1, p.2, p.3).unwrap(), *w);
         }
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.probes_failed, 0);
-        assert_eq!(stats.probes_answered, probes.len() as u64 + 40);
-        assert!(stats.scheme(SchemeKind::Tcm).probes > 0);
-        assert!(stats.scheme(SchemeKind::Tcm).p99_us().is_some());
+        assert_eq!(stats.merged.probes_failed, 0);
+        assert_eq!(stats.merged.probes_answered, probes.len() as u64 + 40);
+        assert!(stats.merged.scheme(SchemeKind::Tcm).probes > 0);
+        assert!(stats.merged.scheme(SchemeKind::Tcm).p99_us().is_some());
     }
 
     #[test]
@@ -1707,18 +1621,19 @@ mod tests {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm];
         // an hour-long window and a huge batch: nothing flushes on its
         // own, so every answer below is produced by the shutdown drain
-        let server = paper_server(
+        let server = paper_server_sharded(
             ServeConfig {
                 window: Duration::from_secs(3600),
                 max_batch: usize::MAX,
                 ..ServeConfig::default()
             },
+            1,
             KINDS,
         );
-        let (ids, n) = server.context().clone();
+        let (ids, n) = server.contexts()[0].clone();
         let probes = all_pairs(&ids, n);
         let want = server
-            .control({
+            .control_shard(0, {
                 let probes = probes.clone();
                 move |reg| reg.answer_batch(&probes).unwrap()
             })
@@ -1729,11 +1644,11 @@ mod tests {
             .collect();
         let stats = server.shutdown().unwrap();
         assert_eq!(
-            stats.probes_answered,
+            stats.merged.probes_answered,
             (probes.len() * tickets.len()) as u64,
             "drain answers every admitted probe"
         );
-        assert!(stats.batches_drain >= 1);
+        assert!(stats.merged.batches_drain >= 1);
         for (_, t) in tickets {
             assert_eq!(t.wait().unwrap(), want);
         }
@@ -1747,15 +1662,16 @@ mod tests {
     #[test]
     fn overflow_is_typed_and_never_deadlocks() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm];
-        let server = paper_server(
+        let server = paper_server_sharded(
             ServeConfig {
                 queue_cap: 1,
                 window: Duration::from_micros(50),
                 ..ServeConfig::default()
             },
+            1,
             KINDS,
         );
-        let (ids, _) = server.context().clone();
+        let (ids, _) = server.contexts()[0].clone();
         let handle = server.handle();
         // stall the worker inside a control closure (issued from a
         // helper thread — `control` blocks until executed) so the bounded
@@ -1766,7 +1682,7 @@ mod tests {
         std::thread::scope(|scope| {
             let srv = &server;
             scope.spawn(move || {
-                srv.control(move |_| {
+                srv.control_shard(0, move |_| {
                     let _ = started_tx.send(());
                     let _ = hold_rx.recv_timeout(Duration::from_secs(10));
                 })
@@ -1799,22 +1715,23 @@ mod tests {
             assert!(t.wait_one().unwrap());
         }
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.controls, 1);
-        assert_eq!(stats.probes_failed, 0);
+        assert_eq!(stats.merged.controls, 1);
+        assert_eq!(stats.merged.probes_failed, 0);
     }
 
     #[test]
     fn faulty_requests_fail_alone() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm, SchemeKind::Dfs];
         // a long window so both requests coalesce into one batch
-        let server = paper_server(
+        let server = paper_server_sharded(
             ServeConfig {
                 window: Duration::from_millis(200),
                 ..ServeConfig::default()
             },
+            1,
             KINDS,
         );
-        let (ids, n) = server.context().clone();
+        let (ids, n) = server.contexts()[0].clone();
         let handle = server.handle();
         let good = all_pairs(&ids, n);
         let bad = vec![(ids[1], RunId(99), RunVertexId(0), RunVertexId(0))];
@@ -1827,18 +1744,18 @@ mod tests {
                 if matches!(&*e, RegistryError::Fleet { .. })
         ));
         let want = server
-            .control(move |reg| reg.answer_batch(&good).unwrap())
+            .control_shard(0, move |reg| reg.answer_batch(&good).unwrap())
             .unwrap();
         assert_eq!(got, want, "the healthy neighbor is unaffected");
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.probes_failed, 1);
+        assert_eq!(stats.merged.probes_failed, 1);
     }
 
     #[test]
     fn out_of_range_vertex_fails_alone_and_the_shard_keeps_serving() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm];
-        let server = paper_server(ServeConfig::default(), KINDS);
-        let (ids, n) = server.context().clone();
+        let server = paper_server_sharded(ServeConfig::default(), 1, KINDS);
+        let (ids, n) = server.contexts()[0].clone();
         let handle = server.handle();
         let good = (ids[0], RunId(0), RunVertexId(0), RunVertexId(1));
         let want = handle.probe_vec(vec![good]).unwrap();
@@ -1864,7 +1781,7 @@ mod tests {
                 if matches!(&*e, RegistryError::Fleet { error: FleetError::UnknownRun(_), .. })
         ));
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.probes_failed, 2);
+        assert_eq!(stats.merged.probes_failed, 2);
     }
 
     #[test]
@@ -1911,7 +1828,7 @@ mod tests {
     #[test]
     fn builder_errors_surface_to_the_caller() {
         let bogus = SpecId(0xDEAD);
-        let err = serve(ServeConfig::default(), move || {
+        let err = serve_sharded(ServeConfig::default(), 1, ShardPlan::new(), move |_, _| {
             let mut reg = ServiceRegistry::new();
             reg.ensure_resident(bogus)?;
             Ok((reg, ()))
@@ -2063,8 +1980,8 @@ mod tests {
     #[test]
     fn dropped_tickets_recycle_their_slots() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm];
-        let server = paper_server(ServeConfig::default(), KINDS);
-        let (ids, _) = server.context().clone();
+        let server = paper_server_sharded(ServeConfig::default(), 1, KINDS);
+        let (ids, _) = server.contexts()[0].clone();
         let handle = server.handle();
         let one = (ids[0], RunId(0), RunVertexId(0), RunVertexId(0));
         // fire-and-forget: drop every ticket unwaited; slots must come
@@ -2073,8 +1990,8 @@ mod tests {
             let _ = handle.submit_one(one).unwrap();
         }
         let stats = server.shutdown().unwrap();
-        assert_eq!(stats.probes_answered, 256);
-        assert_eq!(stats.probes_failed, 0);
+        assert_eq!(stats.merged.probes_answered, 256);
+        assert_eq!(stats.merged.probes_failed, 0);
         let free = server_slab_free_len(&handle);
         let total = server_slab_len(&handle);
         assert_eq!(free, total, "every slot returned to the free list");

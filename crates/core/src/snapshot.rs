@@ -29,7 +29,8 @@
 //!   container.
 //!
 //! Reloading a fleet costs one read of its file plus one checksum pass
-//! over the bytes: aligned packed segments bind zero-copy, so there is no
+//! over the bytes: packed segments bind zero-copy (their only other pass
+//! reads the origin column to check its stored bound), so there is no
 //! decode pass to hide the checksum behind. [`crc32`] runs three
 //! independent slicing-by-16 chains over equal stripes of a buffer and
 //! folds them with the GF(2) CRC combine (a multiply by x^(8n) mod P, from
@@ -50,7 +51,6 @@ use wfp_speclabel::{SchemeKind, SpecScheme};
 
 use crate::context::{SharedMemo, SpecContext};
 use crate::engine::SoaLabels;
-use crate::packed::PackedColumns;
 
 /// Container magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"WFPS";
@@ -81,17 +81,12 @@ pub mod seg {
     /// names.
     pub const REGISTRY_MANIFEST: u16 = 0x0008;
     /// One frozen run's bit-packed label columns
-    /// (`wfp_skl::packed::PackedColumns`) — the compressed successor of
-    /// [`RUN_COLUMNS`]; readers that predate it skip the segment and fail
-    /// on the manifest slot state instead of misreading bits.
-    pub const PACKED_COLUMNS: u16 = 0x0009;
-    /// One frozen run's bit-packed label columns in the **8-byte-aligned**
-    /// layout (`wfp_skl::PackedColumnsView`): a fixed header, then each
-    /// column's `u64` words plus a zero pad word, every region a multiple
-    /// of 8 from the payload start — directly serveable out of the load
-    /// buffer with zero per-word decode. The successor of
-    /// [`PACKED_COLUMNS`] for fleet persistence; old snapshots still
-    /// decode via the copy path.
+    /// (`wfp_skl::PackedColumnsView`), the compressed form of
+    /// [`RUN_COLUMNS`]: a fixed header, then each column's `u64` words
+    /// plus a zero pad word, every region a multiple of 8 from the payload
+    /// start — served straight out of the load buffer with zero per-word
+    /// decode. Kind `0x0009` is reserved: it named a retired unaligned
+    /// layout, so reusing it would misread old files.
     pub const PACKED_COLUMNS_ALIGNED: u16 = 0x000A;
 }
 
@@ -101,8 +96,8 @@ pub mod seg {
 
 /// Failures parsing a snapshot container or one of its segment payloads.
 /// The shared error vocabulary of every persistent format in the stack:
-/// `wfp_skl::DecodeError` and `wfp_provenance`'s `StoreError` both wrap it
-/// (with `source()` threading back here).
+/// `wfp_skl::DecodeError` wraps it (with `source()` threading back here),
+/// and `wfp_provenance`'s store returns it as is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FormatError {
     /// The bytes do not start with the container magic.
@@ -520,12 +515,6 @@ pub struct SnapshotReader<'a> {
 }
 
 impl<'a> SnapshotReader<'a> {
-    /// Whether `bytes` begins with the container magic — the sniff used by
-    /// adapters that also accept their legacy (v0) framing.
-    pub fn sniff(bytes: &[u8]) -> bool {
-        bytes.len() >= 4 && bytes[..4] == MAGIC
-    }
-
     /// Parses and fully validates a container: header, section table,
     /// exact total length, and one CRC pass over every payload.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, FormatError> {
@@ -781,37 +770,6 @@ pub fn write_run_columns(cols: &SoaLabels) -> Vec<u8> {
     out
 }
 
-/// Serializes one run's bit-packed label columns as a
-/// [`seg::PACKED_COLUMNS`] payload — the compressed successor of
-/// [`write_run_columns`], typically 2–3× smaller (version byte, four
-/// `(base, width)` frame headers, vertex count, packed words).
-pub fn write_packed_columns(cols: &PackedColumns) -> Vec<u8> {
-    cols.to_payload()
-}
-
-/// Parses a [`write_packed_columns`] payload, rejecting inconsistent
-/// frame headers (width > 32, `base + mask` overflowing `u32`, counts the
-/// stored words cannot back) before sizing any allocation.
-pub fn read_packed_columns(payload: &[u8]) -> Result<PackedColumns, FormatError> {
-    PackedColumns::from_payload(payload)
-}
-
-/// Serializes one run's bit-packed label columns as a
-/// [`seg::PACKED_COLUMNS_ALIGNED`] payload: the same per-column frames as
-/// [`write_packed_columns`], laid out so every column's `u64` words start
-/// 8-byte-aligned relative to the payload — the layout
-/// [`crate::PackedColumnsView`] serves straight from the load buffer.
-pub fn write_packed_columns_aligned(cols: &PackedColumns) -> Vec<u8> {
-    cols.to_aligned_payload()
-}
-
-/// Parses a [`write_packed_columns_aligned`] payload into **owned**
-/// columns — the copy path, for callers without a shareable load buffer.
-/// Zero-copy callers bind a [`crate::PackedColumnsView`] instead.
-pub fn read_packed_columns_aligned(payload: &[u8]) -> Result<PackedColumns, FormatError> {
-    PackedColumns::from_aligned_payload(payload)
-}
-
 /// Parses a [`write_run_columns`] payload.
 pub fn read_run_columns(payload: &[u8]) -> Result<SoaLabels, FormatError> {
     let mut cur = Cursor::new(payload);
@@ -932,7 +890,6 @@ mod tests {
         w.push(9, Vec::new());
         w.push(7, vec![4, 5]);
         let bytes = w.finish();
-        assert!(SnapshotReader::sniff(&bytes));
         let r = SnapshotReader::parse(&bytes).unwrap();
         assert_eq!(r.segments().len(), 3);
         assert_eq!(r.first(7).unwrap(), &[1, 2, 3]);

@@ -34,4 +34,4 @@ pub use gen::attach_data;
 pub use index::{DataLabel, ProvenanceIndex};
 pub use live::LiveIndex;
 pub use registry::RegistryIndex;
-pub use store::{serialize, serialize_v0, StoreError, StoredProvenance};
+pub use store::{serialize, StoredProvenance};

@@ -4,10 +4,10 @@
 //! answering dependency queries from labels alone — without loading the run
 //! graph. This module serializes the data labels of §6 into the unified
 //! snapshot container ([`wfp_skl::snapshot`]): one CRC-protected
-//! [`seg::PROVENANCE_ITEMS`] segment on the shared framing layer, with the
-//! legacy (pre-snapshot) v0 byte stream still decodable via a sniffed
-//! compatibility path. Every §6 query is answered from the deserialized
-//! form plus the specification's skeleton index.
+//! [`seg::PROVENANCE_ITEMS`] segment on the shared framing layer, so a
+//! damaged or foreign buffer is a typed [`FormatError`]. Every §6 query is
+//! answered from the deserialized form plus the specification's skeleton
+//! index.
 
 use bytes::Bytes;
 use wfp_model::ModuleId;
@@ -17,65 +17,6 @@ use wfp_speclabel::SpecIndex;
 
 use crate::data::{DataItemId, RunData};
 use crate::index::{DataLabel, ProvenanceIndex};
-
-/// Legacy v0 magic ("WFPV", little-endian) and version.
-const V0_MAGIC: u32 = 0x5746_5056;
-const V0_VERSION: u16 = 1;
-
-/// Deserialization failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
-    /// The buffer starts with neither the snapshot magic nor the legacy
-    /// store magic.
-    BadMagic,
-    /// Unsupported format version (of the legacy v0 stream).
-    BadVersion(u16),
-    /// The buffer ended prematurely (or a length field promised more data
-    /// than the buffer holds).
-    Truncated,
-    /// An item name is not valid UTF-8.
-    BadName,
-    /// The snapshot container around the items is invalid (truncated,
-    /// corrupt, wrong version — see [`FormatError`]).
-    Format(FormatError),
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::BadMagic => write!(f, "not a provenance store (bad magic)"),
-            StoreError::BadVersion(v) => write!(f, "unsupported store version {v}"),
-            StoreError::Truncated => write!(f, "provenance store is truncated"),
-            StoreError::BadName => write!(f, "item name is not valid UTF-8"),
-            StoreError::Format(e) => write!(f, "invalid provenance snapshot: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Format(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FormatError> for StoreError {
-    fn from(e: FormatError) -> Self {
-        StoreError::Format(e)
-    }
-}
-
-/// Maps shared-framing failures inside the *legacy* stream onto the
-/// original v0 error vocabulary (old callers match on these variants).
-fn v0_error(e: FormatError) -> StoreError {
-    match e {
-        FormatError::Truncated { .. } | FormatError::Oversized { .. } => StoreError::Truncated,
-        FormatError::BadUtf8 => StoreError::BadName,
-        e => StoreError::Format(e),
-    }
-}
 
 fn put_label(buf: &mut Vec<u8>, l: &RunLabel) {
     buf.extend_from_slice(&l.q1.to_le_bytes());
@@ -116,29 +57,6 @@ pub fn serialize<S: SpecIndex>(labeled: &LabeledRun<S>, data: &RunData) -> Bytes
     Bytes::from(w.finish())
 }
 
-/// Serializes in the legacy (pre-snapshot) v0 framing: magic + version +
-/// fixed-width counts, no checksum. Kept so interop with stores written by
-/// older builds stays testable; new code writes [`serialize`].
-pub fn serialize_v0<S: SpecIndex>(labeled: &LabeledRun<S>, data: &RunData) -> Bytes {
-    let index = ProvenanceIndex::build(labeled, data);
-    let mut buf = Vec::with_capacity(16 + 32 * data.item_count());
-    buf.extend_from_slice(&V0_MAGIC.to_le_bytes());
-    buf.extend_from_slice(&V0_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(data.item_count() as u32).to_le_bytes());
-    for (id, item) in data.items() {
-        let label = index.label(id);
-        let name = item.name.as_bytes();
-        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        buf.extend_from_slice(name);
-        put_label(&mut buf, &label.output);
-        buf.extend_from_slice(&(label.inputs.len() as u16).to_le_bytes());
-        for input in &label.inputs {
-            put_label(&mut buf, input);
-        }
-    }
-    Bytes::from(buf)
-}
-
 /// A provenance store loaded from bytes: data labels only, no run graph.
 #[derive(Debug)]
 pub struct StoredProvenance {
@@ -148,16 +66,10 @@ pub struct StoredProvenance {
 }
 
 impl StoredProvenance {
-    /// Parses a buffer produced by [`serialize`] — or, sniffed by magic,
-    /// by the legacy [`serialize_v0`] — so stores written by older builds
-    /// keep loading.
-    pub fn deserialize(buf: &[u8]) -> Result<Self, StoreError> {
-        let items = if SnapshotReader::sniff(buf) {
-            let r = SnapshotReader::parse(buf)?;
-            Self::parse_items(r.first(seg::PROVENANCE_ITEMS)?)?
-        } else {
-            Self::parse_items_v0(buf)?
-        };
+    /// Parses a buffer produced by [`serialize`].
+    pub fn deserialize(buf: &[u8]) -> Result<Self, FormatError> {
+        let r = SnapshotReader::parse(buf)?;
+        let items = Self::parse_items(r.first(seg::PROVENANCE_ITEMS)?)?;
         let origin_bound = SharedMemo::origin_bound_of(
             items
                 .iter()
@@ -172,7 +84,7 @@ impl StoredProvenance {
     /// The container segment payload: varint counts and length-prefixed
     /// names on the shared framing layer. Every count is guarded against
     /// the remaining payload before it sizes an allocation.
-    fn parse_items(payload: &[u8]) -> Result<Vec<(String, DataLabel)>, StoreError> {
+    fn parse_items(payload: &[u8]) -> Result<Vec<(String, DataLabel)>, FormatError> {
         let mut cur = Cursor::new(payload);
         // every item costs at least a name length, an output label and an
         // input count
@@ -189,48 +101,6 @@ impl StoredProvenance {
             items.push((name, DataLabel { output, inputs }));
         }
         cur.finish()?;
-        Ok(items)
-    }
-
-    /// The legacy v0 stream, now expressed over the same shared [`Cursor`]
-    /// (one framing/length-guard implementation for every format) but
-    /// reporting the original v0 error vocabulary.
-    fn parse_items_v0(buf: &[u8]) -> Result<Vec<(String, DataLabel)>, StoreError> {
-        let mut cur = Cursor::new(buf);
-        if cur.u32().map_err(|_| StoreError::Truncated)? != V0_MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = cur.u16().map_err(|_| StoreError::Truncated)?;
-        if version != V0_VERSION {
-            return Err(StoreError::BadVersion(version));
-        }
-        let count = cur.u32().map_err(v0_error)? as u64;
-        // The count field is untrusted: a flipped high bit must not size a
-        // multi-gigabyte preallocation. Every item costs at least 20 bytes
-        // (name length + output label + input count), so a count the
-        // remaining payload cannot possibly hold is already truncation.
-        const MIN_ITEM_BYTES: u64 = (2 + LABEL_BYTES + 2) as u64;
-        if count.saturating_mul(MIN_ITEM_BYTES) > cur.remaining() as u64 {
-            return Err(StoreError::Truncated);
-        }
-        let mut items = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let name_len = cur.u16().map_err(v0_error)? as usize;
-            let name = std::str::from_utf8(cur.bytes(name_len).map_err(v0_error)?)
-                .map_err(|_| StoreError::BadName)?
-                .to_string();
-            let output = get_label(&mut cur).map_err(v0_error)?;
-            let k = cur.u16().map_err(v0_error)? as u64;
-            // same rule for the per-item input count
-            if k.saturating_mul(LABEL_BYTES as u64) > cur.remaining() as u64 {
-                return Err(StoreError::Truncated);
-            }
-            let mut inputs = Vec::with_capacity(k as usize);
-            for _ in 0..k {
-                inputs.push(get_label(&mut cur).map_err(v0_error)?);
-            }
-            items.push((name, DataLabel { output, inputs }));
-        }
         Ok(items)
     }
 
@@ -365,26 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn v0_streams_still_deserialize_identically() {
-        let spec = paper_spec();
-        let run = paper_run(&spec);
-        let scheme = SpecScheme::build(SchemeKind::Bfs, spec.graph());
-        let labeled = LabeledRun::build(&spec, scheme, &run).unwrap();
-        let data = attach_data(&run, 7, 1.5);
-        let v0 = serialize_v0(&labeled, &data);
-        let new = serialize(&labeled, &data);
-        assert_ne!(v0, new, "v0 and container framings differ");
-        let a = StoredProvenance::deserialize(&v0).unwrap();
-        let b = StoredProvenance::deserialize(&new).unwrap();
-        assert_eq!(a.item_count(), b.item_count());
-        for i in 0..a.item_count() {
-            let id = DataItemId(i as u32);
-            assert_eq!(a.name(id), b.name(id));
-            assert_eq!(a.label(id), b.label(id));
-        }
-    }
-
-    #[test]
     fn corrupted_buffers_are_rejected() {
         let spec = paper_spec();
         let run = paper_run(&spec);
@@ -401,33 +251,19 @@ mod tests {
         *flipped.last_mut().unwrap() ^= 1;
         assert!(matches!(
             StoredProvenance::deserialize(&flipped),
-            Err(StoreError::Format(FormatError::ChecksumMismatch { .. }))
+            Err(FormatError::ChecksumMismatch { .. })
         ));
-        assert!(matches!(
-            StoredProvenance::deserialize(&[0u8; 10]),
-            Err(StoreError::BadMagic)
-        ));
-        assert!(matches!(
-            StoredProvenance::deserialize(&[]),
-            Err(StoreError::Truncated)
-        ));
-        // the wrapped format error is the source()
-        use std::error::Error as _;
-        let err = StoredProvenance::deserialize(&flipped).unwrap_err();
-        assert!(err.source().is_some());
-
-        // legacy framing keeps its original error vocabulary
-        let v0 = serialize_v0(&labeled, &data);
-        assert!(matches!(
-            StoredProvenance::deserialize(&v0[..v0.len() - 1]),
-            Err(StoreError::Truncated)
-        ));
-        let mut bad_version = v0.to_vec();
-        bad_version[4] = 0xFF;
-        assert!(matches!(
-            StoredProvenance::deserialize(&bad_version),
-            Err(StoreError::BadVersion(_))
-        ));
+        // anything that is not a container fails on the container magic,
+        // including the retired `WFPV` framing (its magic is the
+        // little-endian u32 0x5746_5056), here as a whole empty store
+        let mut retired = 0x5746_5056u32.to_le_bytes().to_vec();
+        retired.extend_from_slice(&[1, 0, 0, 0, 0, 0]); // version 1, no items
+        for not_a_container in [&[0u8; 10][..], &[], b"WFPV", &retired[..]] {
+            assert_eq!(
+                StoredProvenance::deserialize(not_a_container).unwrap_err(),
+                FormatError::BadMagic
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Adversarial inputs for [`StoredProvenance::deserialize`]: the store
 //! parses byte buffers that may come from a corrupted database page or an
 //! attacker-controlled file, so *every* malformed input must come back as
-//! a [`StoreError`] — never a panic, and never an attacker-sized
-//! allocation. Both framings are covered: the snapshot container written
-//! by [`serialize`] and the legacy v0 stream ([`serialize_v0`]).
+//! a [`FormatError`] — never a panic, and never an attacker-sized
+//! allocation.
 
 use wfp_model::fixtures::{paper_run, paper_spec};
-use wfp_provenance::{attach_data, serialize, serialize_v0, StoreError, StoredProvenance};
+use wfp_provenance::{attach_data, serialize, StoredProvenance};
 use wfp_skl::snapshot::{self, FormatError, SnapshotReader, SnapshotWriter};
 use wfp_skl::LabeledRun;
 use wfp_speclabel::{SchemeKind, SpecScheme};
 
-fn store_bytes(v0: bool) -> Vec<u8> {
+fn store_bytes() -> Vec<u8> {
     let spec = paper_spec();
     let run = paper_run(&spec);
     let labeled = LabeledRun::build(
@@ -21,11 +20,7 @@ fn store_bytes(v0: bool) -> Vec<u8> {
     )
     .unwrap();
     let data = attach_data(&run, 13, 1.5);
-    if v0 {
-        serialize_v0(&labeled, &data).to_vec()
-    } else {
-        serialize(&labeled, &data).to_vec()
-    }
+    serialize(&labeled, &data).to_vec()
 }
 
 /// Rebuilds the container with the items segment replaced — how the tests
@@ -45,22 +40,19 @@ fn with_items_payload(bytes: &[u8], payload: Vec<u8>) -> Vec<u8> {
 }
 
 /// Truncation at every byte offset: each prefix must decode to an error
-/// (the full buffer to `Ok`), with no panic anywhere in between — in both
-/// framings.
+/// (the full buffer to `Ok`), with no panic anywhere in between.
 #[test]
 fn truncation_at_every_offset_errors_cleanly() {
-    for v0 in [false, true] {
-        let bytes = store_bytes(v0);
-        assert!(StoredProvenance::deserialize(&bytes).is_ok());
-        for len in 0..bytes.len() {
-            match StoredProvenance::deserialize(&bytes[..len]) {
-                Err(_) => {}
-                Ok(store) => panic!(
-                    "prefix of {len}/{} bytes (v0 = {v0}) decoded to {} items",
-                    bytes.len(),
-                    store.item_count()
-                ),
-            }
+    let bytes = store_bytes();
+    assert!(StoredProvenance::deserialize(&bytes).is_ok());
+    for len in 0..bytes.len() {
+        match StoredProvenance::deserialize(&bytes[..len]) {
+            Err(_) => {}
+            Ok(store) => panic!(
+                "prefix of {len}/{} bytes decoded to {} items",
+                bytes.len(),
+                store.item_count()
+            ),
         }
     }
 }
@@ -71,7 +63,7 @@ fn truncation_at_every_offset_errors_cleanly() {
 /// silently is no longer possible.
 #[test]
 fn container_bit_flips_are_all_detected() {
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     for byte in 0..bytes.len() {
         for bit in 0..8 {
             let mut fuzzed = bytes.clone();
@@ -84,96 +76,39 @@ fn container_bit_flips_are_all_detected() {
     }
 }
 
-/// Single-bit flips over the legacy stream: decoding may succeed (the
-/// flipped bit may sit in a label payload — v0 has no checksum) or fail,
-/// but must never panic. Flips in the magic/version words must fail with
-/// the matching error.
-#[test]
-fn v0_bit_flips_never_panic() {
-    let bytes = store_bytes(true);
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut fuzzed = bytes.clone();
-            fuzzed[byte] ^= 1 << bit;
-            let result = StoredProvenance::deserialize(&fuzzed);
-            if byte < 4 {
-                // the flip may land on the container magic, which routes
-                // to the (failing) container parser instead
-                assert!(
-                    matches!(
-                        result,
-                        Err(StoreError::BadMagic) | Err(StoreError::Format(_))
-                    ),
-                    "magic flip at {byte}:{bit} must fail"
-                );
-            } else if byte < 6 {
-                assert!(
-                    matches!(result, Err(StoreError::BadVersion(_))),
-                    "version flip at {byte}:{bit} must be BadVersion"
-                );
-            }
-            // all other flips: Ok or Err, both fine — reaching here
-            // without a panic is the property
-        }
-    }
-}
-
 /// An oversized item-count field must be rejected *before* sizing any
-/// allocation — in the container via [`FormatError::Oversized`], in v0 as
-/// truncation. The container payload is rebuilt (CRC-consistent) so the
-/// guard itself is what trips, not the checksum.
+/// allocation, as [`FormatError::Oversized`]. The container payload is
+/// rebuilt (CRC-consistent) so the guard itself is what trips, not the
+/// checksum.
 #[test]
 fn oversized_count_field_is_rejected_without_allocating() {
     // container framing: a forged varint count over an empty payload
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     for count in [u64::MAX, u64::MAX / 2, 1 << 40, 1 << 24] {
         let mut evil = Vec::new();
         snapshot::put_varint(&mut evil, count);
         assert!(
             matches!(
                 StoredProvenance::deserialize(&with_items_payload(&bytes, evil)),
-                Err(StoreError::Format(FormatError::Oversized { .. }))
+                Err(FormatError::Oversized { .. })
             ),
             "container count {count} must be Oversized"
-        );
-    }
-    // legacy framing: the fixed-width count field patched in place
-    let v0 = store_bytes(true);
-    for count in [u32::MAX, u32::MAX / 2, 1 << 24] {
-        let mut fuzzed = v0.clone();
-        fuzzed[6..10].copy_from_slice(&count.to_le_bytes());
-        assert!(
-            matches!(
-                StoredProvenance::deserialize(&fuzzed),
-                Err(StoreError::Truncated)
-            ),
-            "v0 count {count} must be truncation"
         );
     }
 }
 
 /// An oversized name-length field walks the cursor past the payload and
-/// must be reported as truncation (v0) / a format error (container), not
-/// read out of bounds.
+/// must be reported as a format error, not read out of bounds.
 #[test]
 fn oversized_name_length_is_rejected() {
     // container: one item whose name claims 2^30 bytes
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     let mut evil = Vec::new();
     snapshot::put_varint(&mut evil, 1); // one item
     snapshot::put_varint(&mut evil, 1 << 30); // name length
     assert!(matches!(
         StoredProvenance::deserialize(&with_items_payload(&bytes, evil)),
-        Err(StoreError::Format(FormatError::Oversized { .. }))
-    ));
-    // v0: first item's name-length field sits right after the 10-byte
-    // header
-    let v0 = store_bytes(true);
-    let mut fuzzed = v0.clone();
-    fuzzed[10..12].copy_from_slice(&u16::MAX.to_le_bytes());
-    assert!(matches!(
-        StoredProvenance::deserialize(&fuzzed),
-        Err(StoreError::Truncated)
+        Err(FormatError::Oversized { .. })
     ));
 }
 
@@ -182,7 +117,7 @@ fn oversized_name_length_is_rejected() {
 #[test]
 fn oversized_input_count_is_rejected() {
     // container: a valid name + output label, then an absurd input count
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     let mut evil = Vec::new();
     snapshot::put_varint(&mut evil, 1);
     snapshot::put_str(&mut evil, "x");
@@ -190,26 +125,15 @@ fn oversized_input_count_is_rejected() {
     snapshot::put_varint(&mut evil, 1 << 40); // input count
     assert!(matches!(
         StoredProvenance::deserialize(&with_items_payload(&bytes, evil)),
-        Err(StoreError::Format(FormatError::Oversized { .. }))
-    ));
-    // v0: locate the first item's input-count field: header(10) +
-    // namelen(2) + name + output label(16)
-    let v0 = store_bytes(true);
-    let name_len = u16::from_le_bytes([v0[10], v0[11]]) as usize;
-    let k_at = 10 + 2 + name_len + 16;
-    let mut fuzzed = v0.clone();
-    fuzzed[k_at..k_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-    assert!(matches!(
-        StoredProvenance::deserialize(&fuzzed),
-        Err(StoreError::Truncated)
+        Err(FormatError::Oversized { .. })
     ));
 }
 
-/// Non-UTF-8 item names are a distinct, catchable error in both framings.
+/// Non-UTF-8 item names are a distinct, catchable error.
 #[test]
 fn invalid_utf8_name_is_bad_name() {
     // container: a rebuilt payload whose name bytes are a lone 0xFF
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     let mut evil = Vec::new();
     snapshot::put_varint(&mut evil, 1);
     snapshot::put_varint(&mut evil, 1); // name length
@@ -218,25 +142,15 @@ fn invalid_utf8_name_is_bad_name() {
     snapshot::put_varint(&mut evil, 0);
     assert!(matches!(
         StoredProvenance::deserialize(&with_items_payload(&bytes, evil)),
-        Err(StoreError::Format(FormatError::BadUtf8))
-    ));
-    // v0: flip the first name byte in place (no checksum to dodge)
-    let v0 = store_bytes(true);
-    let name_len = u16::from_le_bytes([v0[10], v0[11]]) as usize;
-    assert!(name_len > 0, "generated items have names");
-    let mut fuzzed = v0.clone();
-    fuzzed[12] = 0xFF;
-    assert!(matches!(
-        StoredProvenance::deserialize(&fuzzed),
-        Err(StoreError::BadName)
+        Err(FormatError::BadUtf8)
     ));
 }
 
-/// Trailing garbage after the last item is rejected in the container
-/// framing (exact-consumption check), where v0 silently ignored it.
+/// Trailing garbage after the last item is rejected (exact-consumption
+/// check).
 #[test]
 fn trailing_bytes_in_items_segment_are_rejected() {
-    let bytes = store_bytes(false);
+    let bytes = store_bytes();
     let r = SnapshotReader::parse(&bytes).unwrap();
     let mut payload = r
         .first(snapshot::seg::PROVENANCE_ITEMS)
@@ -245,6 +159,6 @@ fn trailing_bytes_in_items_segment_are_rejected() {
     payload.push(0xAA);
     assert!(matches!(
         StoredProvenance::deserialize(&with_items_payload(&bytes, payload)),
-        Err(StoreError::Format(FormatError::TrailingBytes { .. }))
+        Err(FormatError::TrailingBytes { .. })
     ));
 }

@@ -91,11 +91,10 @@ pub mod prelude {
         RunData, RunDataBuilder, StoredProvenance,
     };
     pub use wfp_skl::{
-        construct_plan, label_run, serve, serve_sharded, FleetEngine, FleetError, FleetStats,
-        LabeledRun, LiveRun, PackedEngine, PackedRunHandle, QueryEngine, QueryPath, RegistryError,
+        construct_plan, label_run, serve_sharded, FleetEngine, FleetError, FleetStats, LabeledRun,
+        LiveRun, PackedEngine, PackedRunHandle, QueryEngine, QueryPath, RegistryError,
         RegistryStats, RunHandle, RunId, RunLabel, ServeConfig, ServeError, ServeHandle,
-        ServeStats, Server, ServiceRegistry, ShardPlan, ShardedServer, ShardedStats, SpecContext,
-        SpecId,
+        ServeStats, ServiceRegistry, ShardPlan, ShardedServer, ShardedStats, SpecContext, SpecId,
     };
     pub use wfp_speclabel::{SchemeKind, SpecIndex, SpecScheme};
 }

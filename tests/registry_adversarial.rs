@@ -89,12 +89,14 @@ fn every_single_bit_flip_is_detected() {
 #[test]
 fn forged_crc_consistent_manifests_are_rejected() {
     let id = 0x0123_4567_89AB_CDEFu64;
+    // id, scheme tag, file name, run count, then a two-byte snapshot size
     let entry = |id: u64, tag: u8, file: &str, runs: u64| {
         let mut p = Vec::new();
         p.extend_from_slice(&id.to_le_bytes());
         p.push(tag);
         put_str(&mut p, file);
         put_varint(&mut p, runs);
+        put_varint(&mut p, 4096);
         p
     };
     let body = |version: u8, entries: &[Vec<u8>]| {
@@ -106,27 +108,33 @@ fn forged_crc_consistent_manifests_are_rejected() {
         p
     };
 
-    // future manifest version (v1 and v2 are the accepted set)
+    // a future manifest version (v2 is the only one read)
     let e = entry(id, 0, "a.wfps", 1);
     assert!(matches!(
         read_manifest(&forged(body(3, std::slice::from_ref(&e)))),
         Err(FormatError::UnsupportedVersion(3))
     ));
 
-    // a v2 manifest whose entry is missing the snapshot-size field is
-    // framing-truncated, not silently defaulted
-    assert!(read_manifest(&forged(body(2, std::slice::from_ref(&e)))).is_err());
+    // the retired v1 layout had no snapshot-size field: a v1 manifest is
+    // refused by version, and a v2 manifest whose entry is missing the
+    // field is framing-truncated, not silently defaulted
+    let v1_entry = e[..e.len() - 2].to_vec();
+    assert!(matches!(
+        read_manifest(&forged(body(1, std::slice::from_ref(&v1_entry)))),
+        Err(FormatError::UnsupportedVersion(1))
+    ));
+    assert!(read_manifest(&forged(body(2, &[v1_entry]))).is_err());
 
     // unknown scheme tag
     assert!(matches!(
-        read_manifest(&forged(body(1, &[entry(id, 9, "a.wfps", 1)]))),
+        read_manifest(&forged(body(2, &[entry(id, 9, "a.wfps", 1)]))),
         Err(FormatError::Malformed(_)) | Err(FormatError::UnsupportedVersion(_))
     ));
 
     // duplicate spec ids
     let dup = [entry(id, 0, "a.wfps", 1), entry(id, 1, "b.wfps", 1)];
     assert!(matches!(
-        read_manifest(&forged(body(1, &dup))),
+        read_manifest(&forged(body(2, &dup))),
         Err(FormatError::Malformed("duplicate spec id in manifest"))
     ));
 
@@ -142,24 +150,24 @@ fn forged_crc_consistent_manifests_are_rejected() {
         MANIFEST_FILE, // must not alias the manifest itself
     ] {
         assert!(
-            read_manifest(&forged(body(1, &[entry(id, 0, name, 1)]))).is_err(),
+            read_manifest(&forged(body(2, &[entry(id, 0, name, 1)]))).is_err(),
             "file name {name:?} must be rejected"
         );
     }
 
     // absurd declared count (guarded against the remaining byte length)
-    let mut huge = vec![1u8];
+    let mut huge = vec![2u8];
     put_varint(&mut huge, u64::MAX);
     assert!(read_manifest(&forged(huge)).is_err());
 
     // run count beyond u32
     assert!(matches!(
-        read_manifest(&forged(body(1, &[entry(id, 0, "a.wfps", u64::MAX)]))),
+        read_manifest(&forged(body(2, &[entry(id, 0, "a.wfps", u64::MAX)]))),
         Err(FormatError::Malformed("manifest run count exceeds u32"))
     ));
 
     // trailing garbage after the declared entries
-    let mut trailing = body(1, &[entry(id, 0, "a.wfps", 1)]);
+    let mut trailing = body(2, &[entry(id, 0, "a.wfps", 1)]);
     trailing.push(0xFF);
     assert!(matches!(
         read_manifest(&forged(trailing)),

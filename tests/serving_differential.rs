@@ -157,7 +157,7 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
     };
     let frozen_for_builder = frozen_labels.clone();
     let live_for_builder = live_events.clone();
-    let server = serve(config, move || {
+    let server = serve_sharded(config, 1, ShardPlan::new(), move |_, _| {
         let (mut registry, _, live) =
             build_registry(specs, &frozen_for_builder, &live_for_builder);
         // live fleets are pinned; the four live-free fleets churn at once
@@ -166,7 +166,7 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
         Ok((registry, live))
     })
     .unwrap();
-    let served_live = server.context().clone();
+    let served_live = server.contexts()[0].clone();
     assert_eq!(
         served_live, oracle_live,
         "content-hashed ids must agree between oracle and served registry"
@@ -198,7 +198,7 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
         for (spec, rid) in served_live {
             std::thread::sleep(Duration::from_millis(3));
             server
-                .control(move |reg| reg.freeze_run(spec, rid))
+                .control_shard(0, move |reg| reg.freeze_run(spec, rid))
                 .expect("control plane alive")
                 .expect("freeze_run succeeds mid-serve");
         }
@@ -221,8 +221,8 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
     );
 
     // every answer accounted for, every scheme exercised, budget churned
-    let registry_stats = server.control(|reg| reg.stats()).unwrap();
-    let stats = server.shutdown().unwrap();
+    let registry_stats = server.control_shard(0, |reg| reg.stats()).unwrap();
+    let stats = server.shutdown().unwrap().merged;
     assert_eq!(stats.probes_answered, TOTAL_PROBES as u64);
     assert_eq!(stats.probes_failed, 0);
     assert_eq!(stats.requests, requests.len() as u64);
