@@ -6,16 +6,16 @@
 //! repro table1 fig12 fig17  # a subset
 //! ```
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use wfp_bench::{experiments, json};
+use wfp_bench::experiments;
 use wfp_bench::{ReproOptions, Table};
 
 const EXPERIMENTS: &[&str] = &[
     "table1", "table2", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-    "fig20", "baseline", "throughput", "live_ingest", "fleet", "persistence", "registry",
-    "reload", "kernel", "serving",
+    "fig20", "baseline",
 ];
 
 fn usage() -> ! {
@@ -24,9 +24,29 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Runs one experiment, emits its text table, and returns it with its
-/// wall-clock seconds for the machine-readable log.
-fn run_one(name: &str, opts: &ReproOptions) -> (f64, Table) {
+/// Parses the arguments after the program name into the options and the
+/// experiments to run, each once, in the order of its first mention.
+/// `None` (print usage) on an unknown argument, a missing `--out` value
+/// or an empty selection.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Option<(ReproOptions, Vec<&'static str>)> {
+    let mut opts = ReproOptions::default();
+    let mut selected: Vec<&'static str> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--out" => opts.out_dir = PathBuf::from(args.next()?),
+            "all" => selected.extend(EXPERIMENTS),
+            name => selected.push(EXPERIMENTS.iter().find(|&&e| e == name)?),
+        }
+    }
+    let mut seen = HashSet::new();
+    selected.retain(|&name| seen.insert(name));
+    (!selected.is_empty()).then_some((opts, selected))
+}
+
+/// Runs one experiment and emits its text table.
+fn run_one(name: &str, opts: &ReproOptions) {
     let started = Instant::now();
     let table: Table = match name {
         "table1" => experiments::table1(opts),
@@ -41,56 +61,75 @@ fn run_one(name: &str, opts: &ReproOptions) -> (f64, Table) {
         "fig19" => experiments::fig19(opts),
         "fig20" => experiments::fig20(opts),
         "baseline" => experiments::baseline(opts),
-        "throughput" => experiments::throughput(opts),
-        "live_ingest" => experiments::live_ingest(opts),
-        "fleet" => experiments::fleet(opts),
-        "persistence" => experiments::persistence(opts),
-        "registry" => experiments::registry(opts),
-        "reload" => experiments::reload(opts),
-        "kernel" => experiments::kernel(opts),
-        "serving" => experiments::serving(opts),
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            usage();
-        }
+        other => unreachable!("parse_args admits only listed experiments, not {other:?}"),
     };
     table.emit(&opts.out_dir, name);
-    let elapsed = started.elapsed().as_secs_f64();
-    eprintln!("[{name} finished in {elapsed:.1}s]\n");
-    (elapsed, table)
+    eprintln!(
+        "[{name} finished in {:.1}s]\n",
+        started.elapsed().as_secs_f64()
+    );
 }
 
 fn main() {
-    let mut opts = ReproOptions::default();
-    let mut selected: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => match args.next() {
-                Some(dir) => opts.out_dir = PathBuf::from(dir),
-                None => usage(),
-            },
-            "--help" | "-h" => usage(),
-            "all" => selected.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            name if EXPERIMENTS.contains(&name) => selected.push(name.to_string()),
-            _ => usage(),
-        }
-    }
-    if selected.is_empty() {
-        usage();
-    }
-    selected.dedup();
+    let Some((opts, selected)) = parse_args(std::env::args().skip(1)) else {
+        usage()
+    };
     eprintln!(
         "running {} experiment(s), {} mode, results under {}\n",
         selected.len(),
         if opts.quick { "quick" } else { "full" },
         opts.out_dir.display()
     );
-    let mut results: Vec<(String, f64, Table)> = Vec::with_capacity(selected.len());
-    for name in &selected {
-        let (elapsed, table) = run_one(name, &opts);
-        results.push((name.clone(), elapsed, table));
+    for name in selected {
+        run_one(name, &opts);
     }
-    json::emit(&opts.out_dir, opts.quick, &results);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Option<(ReproOptions, Vec<&'static str>)> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn each_experiment_runs_once_in_first_mention_order() {
+        let (opts, selected) = parse("table1 fig12 table1").unwrap();
+        assert_eq!(selected, ["table1", "fig12"]);
+        assert!(!opts.quick);
+        assert_eq!(opts.out_dir, PathBuf::from("results"));
+
+        let (_, selected) = parse("all fig12").unwrap();
+        assert_eq!(selected, EXPERIMENTS);
+        let (_, selected) = parse("fig12 all table1").unwrap();
+        assert_eq!(selected.len(), EXPERIMENTS.len());
+        assert_eq!(selected[..2], ["fig12", "table1"]);
+
+        let (opts, selected) = parse("--quick baseline --out elsewhere").unwrap();
+        assert!(opts.quick);
+        assert_eq!(opts.out_dir, PathBuf::from("elsewhere"));
+        assert_eq!(selected, ["baseline"]);
+    }
+
+    #[test]
+    fn all_is_the_twelve_paper_experiments() {
+        assert_eq!(EXPERIMENTS.len(), 12);
+        assert_eq!(parse("all").unwrap().1, EXPERIMENTS);
+    }
+
+    #[test]
+    fn unknown_names_and_incomplete_lines_are_usage_errors() {
+        for line in [
+            "",
+            "--quick",
+            "--out",
+            "table1 --out",
+            "table1 nope",
+            "throughput",
+            "-h",
+        ] {
+            assert!(parse(line).is_none(), "{line:?}");
+        }
+    }
 }

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod json;
 pub mod options;
 pub mod table;
 pub mod timing;

@@ -39,21 +39,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows (each matching the header arity).
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()

@@ -23,21 +23,6 @@ pub fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / reps as f64
 }
 
-/// Best (minimum) milliseconds of `f` over `reps` repetitions (at least
-/// one). The right estimator for short, allocation-free kernels: ambient
-/// load and frequency ramps only ever add time, so the fastest repetition
-/// is the closest observation of the kernel's actual cost, where the
-/// average would smear scheduler noise into the committed number.
-pub fn best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Average milliseconds per query over a prepared pair workload.
 ///
 /// Returns (ms per query, number of positive answers — also serving as the
@@ -83,21 +68,6 @@ mod tests {
         });
         assert!(ms >= 0.0);
         assert!(counter > 0);
-    }
-
-    #[test]
-    fn best_ms_takes_the_fastest_repetition() {
-        let mut calls = 0u32;
-        let ms = best_ms(4, || {
-            calls += 1;
-            if calls == 1 {
-                // the slow outlier best-of is there to discard
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-        });
-        assert_eq!(calls, 4);
-        assert!(ms < 20.0, "the sleeping outlier must not be the estimate");
-        assert!(best_ms(0, || {}) >= 0.0, "reps clamp to at least one");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   of a module shares one), so the memo turns repeated skeleton probes —
 //!   a full BFS under the search schemes — into one atomic byte load.
 //! * **Batched entry points** ([`QueryEngine::answer_batch`]) and a
-//!   **sharded parallel evaluator** ([`QueryEngine::answer_batch_parallel`],
-//!   mirroring [`crate::batch`]) for million-pair workloads.
+//!   **sharded parallel evaluator** ([`QueryEngine::answer_batch_parallel`])
+//!   for million-pair workloads.
 //!
 //! A [`QueryEngine`] is a thin view over the spec/run split of
 //! [`crate::context`]: an `Arc`-shared [`SpecContext`] (skeleton + memo,
@@ -384,8 +384,8 @@ impl<S: SpecIndex> QueryEngine<S> {
     /// sub-answers warmed by one shard are hits for all others) and owns a
     /// clone of the skeleton for per-probe scratch space (the search
     /// schemes carry non-`Sync` scratch buffers; cloning an index is a
-    /// memcpy of its label arrays, cf. [`crate::batch`]). Results are in
-    /// input order and identical to [`answer_batch`](Self::answer_batch) —
+    /// memcpy of its label arrays). Results are in input order and
+    /// identical to [`answer_batch`](Self::answer_batch) —
     /// the evaluation is deterministic regardless of scheduling.
     pub fn answer_batch_parallel(
         &self,

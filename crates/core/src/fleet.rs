@@ -778,8 +778,7 @@ const SLOT_FROZEN_PACKED_ALIGNED: u8 = 3;
 pub struct FleetLoadProfile {
     /// Packed runs bound as views over the load buffer.
     pub zero_copy_runs: usize,
-    /// Raw runs decoded into owned columns, plus packed runs bound over a
-    /// copy of their payload when the load has no shared buffer.
+    /// Raw runs decoded into owned columns.
     pub decoded_runs: usize,
     /// Total snapshot bytes the load was served from.
     pub bytes: usize,
@@ -853,36 +852,30 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         Ok(w.finish())
     }
 
-    /// Restores a fleet from a parsed container: the skeleton index is
-    /// rebuilt deterministically from the stored graph, the warm memo and
-    /// every run's label columns are mapped back verbatim (no
+    /// Restores a fleet from a container parsed out of `buf`: the skeleton
+    /// index is rebuilt deterministically from the stored graph, the warm
+    /// memo and every run's label columns are mapped back verbatim (no
     /// re-labeling), and slot states — including eviction tombstones and
     /// decision counters — are reinstated. Answers are byte-identical to
-    /// the saved fleet's. Returns the fleet plus the specification graph
-    /// it serves.
+    /// the saved fleet's. Raw runs decode into owned columns; every
+    /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment is bound
+    /// **zero-copy** over `buf` as a [`crate::PackedColumnsView`]. Returns
+    /// the fleet, the specification graph it serves, and a
+    /// [`FleetLoadProfile`] of the split. A reader whose payloads do not
+    /// lie inside `buf` is a typed error.
     pub fn read_snapshot(
         r: &snapshot::SnapshotReader<'_>,
-    ) -> Result<(Self, wfp_graph::DiGraph), snapshot::FormatError> {
-        Self::read_snapshot_with(r, None).map(|(fleet, graph, _)| (fleet, graph))
-    }
-
-    /// [`read_snapshot`](Self::read_snapshot), optionally binding packed
-    /// runs **zero-copy** over `bind` — the shared buffer the reader's
-    /// payloads borrow from. Every
-    /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment becomes a
-    /// [`crate::PackedColumnsView`]: over `bind` when given (no copy),
-    /// otherwise over a copy of that one payload. The returned
-    /// [`FleetLoadProfile`] says which path each run took.
-    fn read_snapshot_with(
-        r: &snapshot::SnapshotReader<'_>,
-        bind: Option<&Arc<[u8]>>,
+        buf: &Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
         let (ctx, graph) = snapshot::read_spec_context(r)?;
         let mut cur = snapshot::Cursor::new(r.first(snapshot::seg::FLEET_MANIFEST)?);
         // each slot costs at least one state byte
         let slot_count = cur.guarded_count(1)?;
         let mut fleet = FleetEngine::new(ctx.shared());
-        let mut profile = FleetLoadProfile::default();
+        let mut profile = FleetLoadProfile {
+            bytes: buf.len(),
+            ..FleetLoadProfile::default()
+        };
         let mut runs = r.all(snapshot::seg::RUN_COLUMNS);
         let mut packed_runs = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED);
         for _ in 0..slot_count {
@@ -921,24 +914,22 @@ impl<'s> FleetEngine<'s, SpecScheme> {
                         profile.decoded_runs += 1;
                         fleet.push(Slot::Frozen(handle));
                     } else {
-                        let view = match bind {
-                            Some(buf) => {
-                                // the reader borrowed this payload from the
-                                // same allocation `buf` owns, so the offset
-                                // arithmetic cannot escape the buffer
-                                let off = payload.as_ptr() as usize - buf.as_ptr() as usize;
-                                debug_assert!(off + payload.len() <= buf.len());
-                                profile.zero_copy_runs += 1;
-                                PackedColumnsView::bind(Arc::clone(buf), off, payload.len())?
-                            }
-                            None => {
-                                profile.decoded_runs += 1;
-                                PackedColumnsView::bind(Arc::from(payload), 0, payload.len())?
-                            }
-                        };
+                        // the payload's offset inside `buf`, if the reader
+                        // was parsed from it
+                        let off = (payload.as_ptr() as usize)
+                            .checked_sub(buf.as_ptr() as usize)
+                            .filter(|off| {
+                                off.checked_add(payload.len())
+                                    .is_some_and(|end| end <= buf.len())
+                            })
+                            .ok_or(snapshot::FormatError::Malformed(
+                                "packed payload outside the load buffer",
+                            ))?;
+                        let view = PackedColumnsView::bind(Arc::clone(buf), off, payload.len())?;
                         check_bound(view.origin_bound())?;
                         let handle = PackedRunHandle::from_store(PackedStore::View(view));
                         handle.count(context_only, skeleton_queries);
+                        profile.zero_copy_runs += 1;
                         fleet.push(Slot::FrozenPacked(handle));
                     }
                 }
@@ -958,27 +949,23 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         Ok((fleet, graph, profile))
     }
 
-    /// Parses and restores a [`save`](Self::save)d fleet. See
-    /// [`read_snapshot`](Self::read_snapshot).
+    /// Parses and restores a [`save`](Self::save)d fleet: copies `bytes`
+    /// once into a shared buffer and [`load_shared`](Self::load_shared)s
+    /// it.
     pub fn load(bytes: &[u8]) -> Result<(Self, wfp_graph::DiGraph), snapshot::FormatError> {
-        Self::read_snapshot(&snapshot::SnapshotReader::parse(bytes)?)
+        Self::load_shared(Arc::from(bytes)).map(|(fleet, graph, _)| (fleet, graph))
     }
 
-    /// [`load`](Self::load) from a shared buffer, binding every packed run
-    /// **zero-copy** over it: the container is fully validated (structure
-    /// and payload CRCs), then each
-    /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment is served
-    /// straight out of `bytes` through a [`crate::PackedColumnsView`] —
-    /// no per-word decode, no per-run allocation proportional to the run.
-    /// Raw segments decode into owned columns. The profile reports the
-    /// split and the buffer size.
+    /// Restores a [`save`](Self::save)d fleet from a shared buffer: the
+    /// container is fully validated (structure and payload CRCs), then
+    /// [`read_snapshot`](Self::read_snapshot) serves each packed run
+    /// straight out of `bytes` — no per-word decode, no per-run
+    /// allocation proportional to the run. The profile reports the
+    /// raw/zero-copy split and the buffer size.
     pub fn load_shared(
         bytes: Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
-        let r = snapshot::SnapshotReader::parse(&bytes)?;
-        let (fleet, graph, mut profile) = Self::read_snapshot_with(&r, Some(&bytes))?;
-        profile.bytes = bytes.len();
-        Ok((fleet, graph, profile))
+        Self::read_snapshot(&snapshot::SnapshotReader::parse(&bytes)?, &bytes)
     }
 
     /// [`load_shared`](Self::load_shared) minus the per-payload CRC pass
@@ -992,10 +979,7 @@ impl<'s> FleetEngine<'s, SpecScheme> {
     pub(crate) fn load_shared_trusted(
         bytes: Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
-        let r = snapshot::SnapshotReader::parse_trusted(&bytes)?;
-        let (fleet, graph, mut profile) = Self::read_snapshot_with(&r, Some(&bytes))?;
-        profile.bytes = bytes.len();
-        Ok((fleet, graph, profile))
+        Self::read_snapshot(&snapshot::SnapshotReader::parse_trusted(&bytes)?, &bytes)
     }
 
     /// Every slot's decision counters `(context_only, skeleton_queries)`,
@@ -1445,6 +1429,38 @@ mod tests {
                 Err(e) if e == unknown
             ));
         }
+    }
+
+    #[test]
+    fn read_snapshot_binds_only_over_the_buffer_it_was_parsed_from() {
+        let spec = paper_spec();
+        let mut fleet =
+            FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()));
+        fleet.register_labels(&labels(&spec, SchemeKind::Tcm));
+        fleet.seal_packed_all();
+        let bytes = fleet.save(spec.graph()).unwrap();
+        let buf: Arc<[u8]> = Arc::from(bytes.as_slice());
+
+        let r = snapshot::SnapshotReader::parse(&buf).unwrap();
+        let (_, _, profile) = FleetEngine::read_snapshot(&r, &buf).unwrap();
+        assert_eq!(
+            (profile.zero_copy_runs, profile.decoded_runs, profile.bytes),
+            (1, 0, buf.len())
+        );
+
+        // the same bytes in another allocation: a typed error, wherever
+        // that allocation lies relative to `buf`
+        let foreign = snapshot::SnapshotReader::parse(&bytes).unwrap();
+        let outside = snapshot::FormatError::Malformed("packed payload outside the load buffer");
+        assert!(matches!(
+            FleetEngine::read_snapshot(&foreign, &buf),
+            Err(e) if e == outside
+        ));
+        let r = snapshot::SnapshotReader::parse(&buf).unwrap();
+        assert!(matches!(
+            FleetEngine::read_snapshot(&r, &Arc::from(bytes.as_slice())),
+            Err(e) if e == outside
+        ));
     }
 
     #[test]

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod bits;
 pub mod construct;
 pub mod context;
@@ -49,7 +48,6 @@ pub mod registry;
 pub mod serve;
 pub mod snapshot;
 
-pub use batch::label_runs_parallel;
 pub use construct::{
     construct_plan, construct_plan_with_stats, ConstructError, ConstructStats, Issue,
 };

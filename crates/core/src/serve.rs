@@ -669,33 +669,6 @@ impl Ticket {
             None => Ok(answer),
         }
     }
-
-    /// Non-blocking poll: `None` while any shard's share is still in
-    /// flight.
-    pub fn try_wait(&mut self) -> Option<Result<Vec<bool>, ServeError>> {
-        if self.waited {
-            return Some(Err(ServeError::ShuttingDown));
-        }
-        let mut st = self.slot.state.lock().expect("slot lock");
-        if !st.done {
-            return None;
-        }
-        let verdict = st.error.take();
-        let result = match verdict {
-            Some(e) => Err(e),
-            None => {
-                let mut out = Vec::with_capacity(st.nprobes as usize);
-                for i in 0..st.nprobes as usize {
-                    out.push((st.bits[i / 64] >> (i % 64)) & 1 == 1);
-                }
-                Ok(out)
-            }
-        };
-        drop(st);
-        self.waited = true;
-        self.slab.release(self.idx);
-        Some(result)
-    }
 }
 
 impl Drop for Ticket {
@@ -1525,6 +1498,24 @@ mod tests {
         probes
     }
 
+    /// The oracle for [`paper_server_sharded`]: one direct registry
+    /// holding every scheme's spec and its two runs.
+    fn paper_registry_flat(kinds: &[SchemeKind]) -> ServiceRegistry<'static> {
+        let mut direct = ServiceRegistry::new();
+        let spec = paper_spec();
+        let run = paper_run(&spec);
+        for &kind in kinds {
+            let labels = LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run)
+                .unwrap()
+                .labels()
+                .to_vec();
+            let id = direct.register_spec(&spec, kind).unwrap();
+            direct.register_labels(id, &labels).unwrap();
+            direct.register_labels(id, &labels).unwrap();
+        }
+        direct
+    }
+
     #[test]
     fn served_answers_match_direct_calls() {
         const KINDS: &[SchemeKind] = &[SchemeKind::Tcm, SchemeKind::Bfs];
@@ -1569,20 +1560,7 @@ mod tests {
         }
         assert_eq!(ids.len(), KINDS.len(), "every spec found a home shard");
         let probes = all_pairs(&ids, n);
-        // oracle: one direct registry holding everything
-        let mut direct = ServiceRegistry::new();
-        let spec = paper_spec();
-        let run = paper_run(&spec);
-        for &kind in KINDS {
-            let labels = LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run)
-                .unwrap()
-                .labels()
-                .to_vec();
-            let id = direct.register_spec(&spec, kind).unwrap();
-            direct.register_labels(id, &labels).unwrap();
-            direct.register_labels(id, &labels).unwrap();
-        }
-        let want = direct.answer_batch(&probes).unwrap();
+        let want = paper_registry_flat(KINDS).answer_batch(&probes).unwrap();
         let handle = server.handle();
         // the mixed-spec vector splits across shards and reassembles in
         // submission order
@@ -1598,6 +1576,76 @@ mod tests {
             .filter(|s| s.probes_answered > 0)
             .count();
         assert!(shards_hit >= 2, "traffic spread across shards");
+    }
+
+    #[test]
+    fn pipelined_clients_across_shards_match_direct_calls() {
+        const KINDS: &[SchemeKind] = &[
+            SchemeKind::Tcm,
+            SchemeKind::Bfs,
+            SchemeKind::Dfs,
+            SchemeKind::TreeCover,
+        ];
+        const CLIENTS: usize = 2;
+        const DEPTH: usize = 16;
+        let server = paper_server_sharded(ServeConfig::default(), 4, KINDS);
+        let mut ids = Vec::new();
+        let mut n = 0;
+        for (shard_ids, vn) in server.contexts() {
+            ids.extend_from_slice(shard_ids);
+            n = *vn;
+        }
+        // interleave the specs so every 5-probe request spans several
+        // shards
+        let probes = all_pairs(&ids, n);
+        let per_spec = n * n;
+        let mixed: Vec<Probe> = (0..per_spec)
+            .flat_map(|j| (0..ids.len()).map(move |k| k * per_spec + j))
+            .map(|i| probes[i])
+            .collect();
+        let want = paper_registry_flat(KINDS).answer_batch(&mixed).unwrap();
+        let requests: Vec<&[Probe]> = mixed.chunks(5).collect();
+
+        // each client keeps up to DEPTH tickets in flight, waiting on the
+        // oldest before it submits the next request
+        let mut served: Vec<Option<Vec<bool>>> = vec![None; requests.len()];
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let handle = server.handle();
+                    let requests = &requests;
+                    scope.spawn(move || {
+                        let mut answered = Vec::new();
+                        let mut inflight: std::collections::VecDeque<(usize, Ticket)> =
+                            std::collections::VecDeque::with_capacity(DEPTH);
+                        for j in (c..requests.len()).step_by(CLIENTS) {
+                            if inflight.len() == DEPTH {
+                                let (i, ticket) = inflight.pop_front().unwrap();
+                                answered.push((i, ticket.wait().unwrap()));
+                            }
+                            inflight.push_back((j, handle.submit(requests[j].to_vec()).unwrap()));
+                        }
+                        for (i, ticket) in inflight {
+                            answered.push((i, ticket.wait().unwrap()));
+                        }
+                        answered
+                    })
+                })
+                .collect();
+            for client in clients {
+                for (j, answers) in client.join().expect("client thread") {
+                    served[j] = Some(answers);
+                }
+            }
+        });
+        let got: Vec<bool> = served
+            .into_iter()
+            .flat_map(|a| a.expect("every request answered"))
+            .collect();
+        assert_eq!(got, want, "pipelined cross-shard answers");
+        let stats = server.shutdown().unwrap();
+        assert_eq!(stats.merged.probes_failed, 0);
+        assert_eq!(stats.merged.probes_answered, mixed.len() as u64);
     }
 
     #[test]

@@ -262,16 +262,18 @@ impl<'s> FleetIndex<'s, SpecScheme> {
         Ok(w.finish())
     }
 
-    /// Restores a [`save`](Self::save)d index: the fleet comes back warm
-    /// and byte-identical ([`FleetEngine::read_snapshot`]), and every
-    /// run's data items are re-registered under their original
-    /// [`RunId`]s. Item vertex references are validated against the
-    /// restored runs' vertex counts, so a malformed snapshot errors
-    /// instead of panicking at query time. Returns the index plus the
-    /// specification graph it serves.
+    /// Restores a [`save`](Self::save)d index: `bytes` are copied once
+    /// into a shared buffer, the fleet comes back warm and byte-identical
+    /// over it ([`FleetEngine::read_snapshot`]), and every run's data
+    /// items are re-registered under their original [`RunId`]s. Item
+    /// vertex references are validated against the restored runs' vertex
+    /// counts, so a malformed snapshot errors instead of panicking at
+    /// query time. Returns the index plus the specification graph it
+    /// serves.
     pub fn load(bytes: &[u8]) -> Result<(Self, wfp_graph::DiGraph), snapshot::FormatError> {
-        let r = snapshot::SnapshotReader::parse(bytes)?;
-        let (fleet, graph) = FleetEngine::read_snapshot(&r)?;
+        let buf: Arc<[u8]> = Arc::from(bytes);
+        let r = snapshot::SnapshotReader::parse(&buf)?;
+        let (fleet, graph, _) = FleetEngine::read_snapshot(&r, &buf)?;
         let mut items: Vec<Vec<DataItem>> = Vec::with_capacity(fleet.slot_count());
         for (slot, payload) in r.all(snapshot::seg::RUN_ITEMS).enumerate() {
             let id = RunId(slot as u32);
