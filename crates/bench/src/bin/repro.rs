@@ -46,7 +46,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Option<(ReproOptions, V
 }
 
 /// Runs one experiment and emits its text table.
-fn run_one(name: &str, opts: &ReproOptions) {
+fn run_one(name: &str, opts: &ReproOptions) -> std::io::Result<()> {
     let started = Instant::now();
     let table: Table = match name {
         "table1" => experiments::table1(opts),
@@ -63,11 +63,12 @@ fn run_one(name: &str, opts: &ReproOptions) {
         "baseline" => experiments::baseline(opts),
         other => unreachable!("parse_args admits only listed experiments, not {other:?}"),
     };
-    table.emit(&opts.out_dir, name);
+    table.emit(&opts.out_dir, name)?;
     eprintln!(
         "[{name} finished in {:.1}s]\n",
         started.elapsed().as_secs_f64()
     );
+    Ok(())
 }
 
 fn main() {
@@ -81,7 +82,13 @@ fn main() {
         opts.out_dir.display()
     );
     for name in selected {
-        run_one(name, &opts);
+        if let Err(e) = run_one(name, &opts) {
+            eprintln!(
+                "error: cannot write {name} under {}: {e}",
+                opts.out_dir.display()
+            );
+            std::process::exit(1);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Aligned text tables for experiment output.
 
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// A titled, column-aligned table that renders to the terminal and to a
@@ -77,18 +78,13 @@ impl Table {
         out
     }
 
-    /// Prints to stdout and writes `<dir>/<file>.txt`.
-    pub fn emit(&self, dir: &Path, file: &str) {
+    /// Prints to stdout and writes `<dir>/<file>.txt`, creating `dir` if
+    /// needed; an error means the file was not written.
+    pub fn emit(&self, dir: &Path, file: &str) -> io::Result<()> {
         let rendered = self.render();
         println!("{rendered}");
-        if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{file}.txt"));
-        if let Err(e) = fs::write(&path, &rendered) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
+        fs::create_dir_all(dir)?;
+        fs::write(dir.join(format!("{file}.txt")), &rendered)
     }
 }
 
@@ -121,6 +117,16 @@ mod tests {
         assert!(s.contains("note: a note"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn emit_reports_a_table_it_cannot_write() {
+        let file = std::env::temp_dir().join(format!("wfp-table-emit-{}", std::process::id()));
+        fs::write(&file, "a regular file").unwrap();
+        let t = Table::new("demo", &["a"]);
+        let result = t.emit(&file.join("results"), "demo");
+        fs::remove_file(&file).unwrap();
+        assert!(result.is_err(), "a results directory under a regular file");
     }
 
     #[test]

@@ -55,15 +55,15 @@ memory pressure, --save DIR writes one *.wfps per spec + registry.manifest,
 and --load DIR opens the directory lazily: each fleet loads on first probe
 (--packed seals runs before saving, so reloads bind the snapshot zero-copy).
 serve runs the same multi-spec registry behind the request/response loop:
---clients C threads replay --probes M mixed probes through the bounded
-admission queue, coalesced into batches of up to --batch probes per
+--clients C threads replay --probes M mixed probes, at most --queue N
+requests in flight, coalesced into batches of up to --batch probes per
 --window US microseconds. PATTERN is closed (default; submit as answers
 return) or open-loop uniform:RATE | poisson:RATE | bursty:RATE:BURST in
-probes/second; overflowing an open-loop queue sheds probes (reported as
-dropped). --shards S runs S dispatch shards, each owning the registry
-slice a deterministic spec-affinity plan routes to it (probes fan out by
-spec and reassemble in submission order); --budget splits evenly across
-the shards. MIX is uniform (default) or zipf:SKEW, which skews the spec
+probes/second; an open-loop submit beyond --queue sheds its probe
+(reported as dropped). --shards S runs S shard workers, each owning the
+registry slice a deterministic spec-affinity plan routes to it (probes
+fan out by spec and reassemble in submission order); --budget splits
+evenly across the shards. MIX is uniform (default) or zipf:SKEW, which skews the spec
 mix onto a hot head shard. The report shows sustained throughput, the
 batch-size histogram, per-shard load and per-scheme p50/p99 serve
 latency.";

@@ -1096,11 +1096,11 @@ pub struct ServeOpts<'a> {
     pub batch: usize,
     /// Admission-window flush deadline in microseconds (`--window`).
     pub window_us: u64,
-    /// Bounded admission-queue capacity in requests (`--queue`).
+    /// Most requests admitted and not yet answered (`--queue`).
     pub queue: usize,
     /// Worker threads per registry batch (`--threads`).
     pub threads: usize,
-    /// Dispatcher shards, each owning its own registry (`--shards`).
+    /// Shard workers, each owning its own registry (`--shards`).
     pub shards: usize,
     /// Spec mix across the probe traffic (`--mix uniform|zipf:SKEW`).
     pub mix: wfp_gen::SpecMix,
@@ -1111,20 +1111,20 @@ pub struct ServeOpts<'a> {
 ///  [--budget BYTES] [--load DIR] [--batch N] [--window US] [--queue N]
 ///  [--threads T] [--shards S] [--mix uniform|zipf:SKEW]`
 ///
-/// The request/response serving loop: each of the `--shards` workers of
-/// [`mod@wfp_skl::serve`] builds (or lazily opens with `--load`) a
-/// registry holding only the specs the [`ShardPlan`] routes to it, then
-/// `C` client threads replay a mixed-spec probe workload through
-/// cloneable [`ServeHandle`]s on the allocation-free single-probe path.
+/// The request/response serving loop: one registry per `--shards` worker
+/// of [`mod@wfp_skl::serve`], built (or lazily opened with `--load`) to
+/// hold only the specs the [`ShardPlan`] routes to that shard, then `C`
+/// client threads replay a mixed-spec probe workload through cloneable
+/// [`ServeHandle`]s on the allocation-free single-probe path.
 /// Open-loop arrival patterns ([`wfp_gen::Arrival`]) pace the
 /// submissions; the admission windows coalesce them into run-sharded
 /// batches per shard. `--mix zipf:SKEW` skews the spec mix so a head
 /// shard saturates while the tail idles. The report shows sustained
 /// throughput, the batch-size histogram, per-shard load, and per-scheme
 /// p50/p99 serve latency from [`ServeStats`]. Probes a client could not
-/// get admitted (bounded-queue overflow under open-loop overload) are
-/// counted as dropped, never silently lost; any probe the registry
-/// rejects is a hard error.
+/// get admitted (`--queue` requests already in flight under open-loop
+/// overload) are counted as dropped, never silently lost; any probe the
+/// registry rejects is a hard error.
 ///
 /// [`ServeHandle`]: wfp_skl::ServeHandle
 /// [`ServeStats`]: wfp_skl::ServeStats
@@ -1135,9 +1135,8 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
 
     let mut out = String::new();
 
-    // Spec loading, generation and labeling happen on this thread — their
-    // failures are CLI errors, and plain `RunLabel` rows move cleanly into
-    // the dispatch thread, where the registry itself must be born.
+    // Spec loading, generation and labeling happen here, before the
+    // server starts; their failures are CLI errors.
     let mut specs: Vec<Specification> = Vec::new();
     for p in opts.spec_paths {
         specs.push(load_spec(p)?);
@@ -1217,28 +1216,25 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         opts.mix,
     )?;
 
-    // Each shard builder runs on its own worker thread and registers only
-    // the specs the plan routes there; its context is that shard's slice
-    // of the probe address book the traffic generator needs.
+    // Each shard's registry holds only the specs the plan routes there;
+    // its context is that shard's slice of the probe address book the
+    // traffic generator needs.
     type Book = Vec<(SpecId, Vec<(RunId, usize)>)>;
     let plan = ShardPlan::new();
     // Split the resident-byte budget across the shard registries so the
     // total stays what the caller asked for.
     let shard_budget = opts.budget.map(|b| (b / shards).max(1));
-    let load_dir = opts.load.map(Path::to_path_buf);
-    let payload = std::sync::Arc::new(payload);
-    let builder_plan = plan.clone();
-    let server = serve_sharded(config, shards, plan.clone(), move |shard, shards| {
-        let mut registry: ServiceRegistry<'static> = if let Some(dir) = &load_dir {
+    let server = serve_sharded(config, shards, plan.clone(), |shard, shards| {
+        let mut registry: ServiceRegistry<'static> = if let Some(dir) = opts.load {
             ServiceRegistry::open_dir_filtered(dir, shard_budget, |id| {
-                builder_plan.shard_of(id, shards) == shard
+                plan.shard_of(id, shards) == shard
             })?
         } else {
             let mut registry = ServiceRegistry::new();
             registry.set_budget(shard_budget)?;
-            for (spec, kind, labeled) in payload.iter() {
+            for (spec, kind, labeled) in &payload {
                 let id = SpecId::of(*kind, spec.graph());
-                if builder_plan.shard_of(id, shards) != shard {
+                if plan.shard_of(id, shards) != shard {
                     continue;
                 }
                 let id = registry.register_spec(spec, *kind)?;
@@ -1297,8 +1293,8 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
 
     // Client c replays the strided slice c, c+C, c+2C, ... Closed-loop
     // clients block on each answer; open-loop clients submit on schedule
-    // and drain their tickets afterwards, so a full queue surfaces as
-    // dropped (shed) probes rather than back-pressure on the schedule.
+    // and drain their tickets afterwards, so a full admission cap surfaces
+    // as dropped (shed) probes rather than back-pressure on the schedule.
     let clients = opts.clients.max(1);
     let closed_loop = opts.arrival == wfp_gen::Arrival::Closed;
     let started = std::time::Instant::now();

@@ -324,12 +324,6 @@ impl<S: SpecIndex> SpecContext<S> {
 
     /// Wraps the context for sharing — the canonical way to obtain the
     /// `Arc` that engines, live runs and fleets hold.
-    ///
-    /// (Lint note: `Arc<SpecContext<S>>` is deliberate even when `S` is
-    /// not `Sync` — the search schemes carry single-thread scratch
-    /// buffers, and such contexts are shared across *owners* within one
-    /// thread; `Sync` skeletons additionally share across threads.)
-    #[allow(clippy::arc_with_non_send_sync)]
     pub fn shared(self) -> Arc<Self> {
         Arc::new(self)
     }
@@ -601,15 +595,13 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let memo = &memo;
-                let oracle = &oracle;
-                // each thread gets its own scratch-carrying skeleton clone
-                let skeleton = skeleton.clone();
+                let (oracle, skeleton) = (&oracle, &skeleton);
                 scope.spawn(move || {
                     for pass in 0..3 {
                         for a in 0..8u32 {
                             for b in 0..8u32 {
                                 assert_eq!(
-                                    memo.reaches(a, b, &skeleton),
+                                    memo.reaches(a, b, skeleton),
                                     oracle.reaches(a, b),
                                     "({a},{b}) pass {pass}"
                                 );

@@ -380,37 +380,36 @@ impl<S: SpecIndex> QueryEngine<S> {
     }
 
     /// Answers `pairs` with up to `threads` shards (clamped to 64). Every
-    /// shard reads the **same** shared memo (it is concurrent by design —
-    /// sub-answers warmed by one shard are hits for all others) and owns a
-    /// clone of the skeleton for per-probe scratch space (the search
-    /// schemes carry non-`Sync` scratch buffers; cloning an index is a
-    /// memcpy of its label arrays). Results are in input order and
-    /// identical to [`answer_batch`](Self::answer_batch) —
-    /// the evaluation is deterministic regardless of scheduling.
+    /// shard reads the **same** skeleton and shared memo (it is concurrent
+    /// by design — sub-answers warmed by one shard are hits for all
+    /// others). Results are in input order and identical to
+    /// [`answer_batch`](Self::answer_batch) — the evaluation is
+    /// deterministic regardless of scheduling.
     pub fn answer_batch_parallel(
         &self,
         pairs: &[(RunVertexId, RunVertexId)],
         threads: usize,
     ) -> Vec<bool>
     where
-        S: Clone + Send,
+        S: Sync,
     {
         // Clamp the user-supplied shard count: each shard costs an OS
-        // thread and a skeleton clone, and a runaway value (a CLI typo)
-        // must degrade to a bounded fan-out, not a spawn failure.
+        // thread, and a runaway value (a CLI typo) must degrade to a
+        // bounded fan-out, not a spawn failure.
         const MAX_SHARDS: usize = 64;
         let threads = threads.clamp(1, MAX_SHARDS).min(pairs.len().max(1));
         // Fixed-size chunks pulled from a shared queue: big enough to
         // amortize the per-chunk claim, small enough to balance shards.
         let chunk = (pairs.len().div_ceil(threads.max(1) * 8)).clamp(1024, 1 << 20);
         let chunk_count = pairs.len().div_ceil(chunk);
-        // A shard beyond the chunk count would clone a skeleton only to
-        // find the queue already exhausted.
+        // A shard beyond the chunk count would find the queue already
+        // exhausted.
         let threads = threads.min(chunk_count);
         if threads <= 1 {
             return self.answer_batch(pairs);
         }
         let cols = self.run.columns();
+        let skeleton = self.ctx.skeleton();
         let memo = self.ctx.probe_memo();
         let mut out = vec![false; pairs.len()];
         let ctx_total = AtomicU64::new(0);
@@ -428,7 +427,6 @@ impl<S: SpecIndex> QueryEngine<S> {
                 for _ in 0..threads {
                     let work = &work;
                     let (ctx_total, skel_total) = (&ctx_total, &skel_total);
-                    let skeleton = self.ctx.skeleton().clone();
                     scope.spawn(move || {
                         let (mut ctx_sum, mut skel_sum) = (0u64, 0u64);
                         loop {
@@ -437,7 +435,7 @@ impl<S: SpecIndex> QueryEngine<S> {
                                 break;
                             };
                             let (c, s) =
-                                sweep_into_slice(cols, &skeleton, memo, chunk_pairs, window);
+                                sweep_into_slice(cols, skeleton, memo, chunk_pairs, window);
                             ctx_sum += c;
                             skel_sum += s;
                         }

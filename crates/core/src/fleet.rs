@@ -560,18 +560,18 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
     }
 
     /// [`answer_batch`](Self::answer_batch) with frozen-run groups
-    /// fanned out over up to `threads` worker threads (each worker clones
-    /// the skeleton for scratch space and reads the **same** shared memo);
-    /// live-run groups are answered on the calling thread, since an
-    /// in-flight run's column store is single-threaded by design. Results
-    /// are byte-identical to the sequential path, in input order.
+    /// fanned out over up to `threads` worker threads (every worker reads
+    /// the **same** skeleton and shared memo); live-run groups are answered
+    /// on the calling thread, since an in-flight run's column store is
+    /// single-threaded by design. Results are byte-identical to the
+    /// sequential path, in input order.
     pub fn answer_batch_parallel(
         &self,
         probes: &[(RunId, RunVertexId, RunVertexId)],
         threads: usize,
     ) -> Result<Vec<bool>, FleetError>
     where
-        S: Clone + Send,
+        S: Sync,
     {
         const MAX_SHARDS: usize = 64;
         let groups = self.group(probes)?;
@@ -626,6 +626,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
             flat_pairs.extend(idxs.iter().map(|&i| (probes[i].1, probes[i].2)));
         }
         let mut perm_out = vec![false; total];
+        let skeleton = self.ctx.skeleton();
         let memo = self.ctx.probe_memo();
         {
             let mut work: Vec<WorkUnit<'_, '_>> = Vec::with_capacity(units.len());
@@ -642,7 +643,6 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     let queue = &queue;
-                    let skeleton = self.ctx.skeleton().clone();
                     scope.spawn(move || loop {
                         let claimed = queue.lock().expect("work queue poisoned").next();
                         let Some((handle, unit_pairs, window)) = claimed else {
@@ -652,7 +652,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
                             FrozenRef::Raw(h) => {
                                 let (c, s) = sweep_into_slice(
                                     h.columns(),
-                                    &skeleton,
+                                    skeleton,
                                     memo,
                                     unit_pairs,
                                     window,
@@ -662,7 +662,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
                             FrozenRef::Packed(h) => {
                                 let (c, s) = sweep_into_slice(
                                     h.columns(),
-                                    &skeleton,
+                                    skeleton,
                                     memo,
                                     unit_pairs,
                                     window,
@@ -684,13 +684,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
                     pairs.clear();
                     pairs.extend(idxs.iter().map(|&i| (probes[i].1, probes[i].2)));
                     buf.clear();
-                    let (c, s) = answer_into(
-                        live.columns(),
-                        self.ctx.skeleton(),
-                        self.ctx.probe_memo(),
-                        &pairs,
-                        &mut buf,
-                    );
+                    let (c, s) = answer_into(live.columns(), skeleton, memo, &pairs, &mut buf);
                     live.count(c, s);
                     for (&i, &ans) in idxs.iter().zip(&buf) {
                         out[i] = ans;

@@ -782,7 +782,7 @@ impl<'s> ServiceRegistry<'s> {
     /// ([`FleetEngine::answer_batch_parallel`]); `threads <= 1` falls back
     /// to the sequential path. Answers are byte-identical to
     /// [`answer_batch`](Self::answer_batch), in input order — this is the
-    /// wide-batch drive path of the [`serve`](mod@crate::serve) dispatch loop.
+    /// wide-batch drive path of the [`serve`](mod@crate::serve) shard workers.
     pub fn answer_batch_parallel(
         &mut self,
         probes: &[(SpecId, RunId, RunVertexId, RunVertexId)],
@@ -1618,8 +1618,8 @@ mod tests {
     /// Induced mid-batch failures — missing snapshot, swapped (mismatched)
     /// snapshot, unknown run id — must leave the registry consistent and
     /// serving: same answers on the retry, residency within budget, stats
-    /// that add up. This is the serving-loop prerequisite: the dispatch
-    /// thread keeps one registry alive across every client's bad request.
+    /// that add up. This is the serving-loop prerequisite: a shard worker
+    /// keeps one registry alive across every client's bad request.
     #[test]
     fn induced_failures_leave_the_registry_serving() {
         let spec = paper_spec();

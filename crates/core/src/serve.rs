@@ -4,25 +4,24 @@
 //!
 //! # Shape
 //!
-//! A **router thread** plus N **shard workers**. Each worker *builds and
-//! owns* one registry shard outright (the batch API takes `&mut self`, and
-//! the search schemes carry `RefCell` scratch, so a registry is
-//! deliberately not shared across threads — ownership *is* the locking
-//! design; the shard builder runs on the worker thread itself, exactly as
-//! the single dispatcher of old). Specs are partitioned across shards by
-//! [`SpecId`] hash, or pinned explicitly through a [`ShardPlan`].
+//! N **shard workers**, one thread each and no other thread. The caller's
+//! builder makes every shard's registry on the calling thread, and each
+//! registry then moves into its worker, which owns it outright (the batch
+//! API takes `&mut self`, so ownership *is* the locking design). Specs are
+//! partitioned across shards by [`SpecId`] hash, or pinned explicitly
+//! through a [`ShardPlan`].
 //!
 //! Clients hold cheap cloneable [`ServeHandle`]s and submit
 //! `(SpecId, RunId, u, v)` probes — single ([`ServeHandle::probe`], which
 //! never allocates on the submission path) or vectors
-//! ([`ServeHandle::probe_vec`]) — through one bounded admission queue. The
-//! router classifies each submitted vector by spec, fans per-shard
-//! sub-batches out to bounded shard queues, and replies are reassembled in
-//! submission order through a **preallocated ticket slab**: workers write
-//! answer *bits* into disjoint index windows of the request's slot (the
-//! allocation-free idiom the column kernel established), so the reply path
-//! allocates nothing per request once the slab is warm — no oneshot
-//! channel, no per-request `Vec` churn.
+//! ([`ServeHandle::probe_vec`]). The submitting thread itself splits each
+//! vector by spec and pushes the per-shard sub-batches straight into
+//! bounded shard queues; replies are reassembled in submission order
+//! through a **preallocated ticket slab**: workers write answer *bits* into
+//! disjoint index windows of the request's slot (the allocation-free idiom
+//! the column kernel established), so the reply path allocates nothing per
+//! request once the slab is warm — no oneshot channel, no per-request
+//! `Vec` churn.
 //!
 //! Each worker coalesces its sub-batches inside an **admission window**
 //! (flush at [`ServeConfig::max_batch`] probes or after
@@ -32,16 +31,17 @@
 //! Because every spec lives on exactly one shard, each shard's memo and
 //! scratch state stay local to its worker.
 //!
-//! * **Backpressure** — the admission queue is bounded
-//!   ([`ServeConfig::queue_cap`] requests); a full queue rejects the
-//!   submission immediately with the typed [`ServeError::Overloaded`],
-//!   never blocking the client. Admission is atomic: a request is either
-//!   admitted whole or not at all (the router, not the client, fans out).
-//! * **Graceful shutdown** — [`ShardedServer::shutdown`] drains: every
-//!   request admitted before the queue closed is answered, then the router
-//!   and every worker stop and the final merged [`ServeStats`] (plus the
-//!   per-shard breakdown) comes back. Submissions after shutdown get the
-//!   typed [`ServeError::ShuttingDown`].
+//! * **Backpressure** — at most [`ServeConfig::queue_cap`] requests are
+//!   admitted and not yet answered; a submission beyond that is rejected
+//!   immediately with the typed [`ServeError::Overloaded`], never blocking
+//!   the client. Admission is atomic: a request is either admitted whole
+//!   or not at all, and no shard queue ever refuses an admitted request.
+//! * **Graceful shutdown** — [`ShardedServer::shutdown`] drains: it closes
+//!   admission, waits for admitted submissions to finish their pushes, and
+//!   queues each shard's stop behind that shard's admitted work. Every
+//!   admitted request is answered, every worker stops, and the final
+//!   merged [`ServeStats`] (plus the per-shard breakdown) comes back.
+//!   Submissions after shutdown get the typed [`ServeError::ShuttingDown`].
 //! * **Control plane** — [`ShardedServer::control`] broadcasts a closure
 //!   to every shard (freeze a live run, resize budgets, snapshot stats)
 //!   without ever exposing a `&mut` registry across threads;
@@ -52,7 +52,7 @@
 //!   submissions that touched that shard (the failing window is re-driven
 //!   per sub-batch); other shards, and other requests on the same shard,
 //!   are unaffected. A worker that panics poisons only its own shard:
-//!   every pending or future sub-batch routed to it resolves with
+//!   every pending or future sub-batch or control sent to it resolves with
 //!   [`ServeError::Disconnected`] instead of hanging its client.
 //! * **Accounting** — per-shard [`ServeStats`] (batch shape, flush causes,
 //!   per-scheme p50/p99 latency over log-bucketed histograms with an exact
@@ -90,9 +90,9 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use wfp_model::RunVertexId;
@@ -119,9 +119,10 @@ pub struct ServeConfig {
     /// Flush the admission window this long after its first probe arrived,
     /// even if `max_batch` was not reached.
     pub window: Duration,
-    /// Bounded queue capacity in *requests* (the admission queue, and each
-    /// per-shard queue); a full admission queue turns submissions into
-    /// [`ServeError::Overloaded`].
+    /// The most requests admitted and not yet answered; a submission
+    /// beyond it is refused with [`ServeError::Overloaded`]. Each shard
+    /// queue holds as many entries, so a push from an admitted request
+    /// waits only behind control messages, never behind other requests.
     pub queue_cap: usize,
     /// Worker threads per registry batch (`<= 1` serves sequentially; more
     /// drives [`ServiceRegistry::answer_batch_parallel`]).
@@ -142,14 +143,15 @@ impl Default for ServeConfig {
 /// Typed serving-path errors, as seen by clients.
 #[derive(Clone, Debug)]
 pub enum ServeError {
-    /// The bounded admission queue is full; resubmit after backing off.
+    /// [`ServeConfig::queue_cap`] requests are already admitted and not
+    /// yet answered; resubmit after backing off.
     Overloaded,
     /// The server is shutting down (or already gone); the probe was not
     /// admitted.
     ShuttingDown,
-    /// A serving thread died before answering (a panic in a registry
-    /// builder or batch kernel — never part of normal operation). Only
-    /// submissions routed to the dead shard see this.
+    /// A shard worker died before answering (a panic in a batch kernel or
+    /// a control closure — never part of normal operation). Only
+    /// submissions and controls sent to the dead shard see this.
     Disconnected,
     /// The registry rejected this request's probes (unknown spec/run,
     /// snapshot failure...). Other requests in the same admitted batch are
@@ -161,7 +163,7 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded => write!(f, "admission queue full (overloaded)"),
+            ServeError::Overloaded => write!(f, "too many requests in flight (overloaded)"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Disconnected => write!(f, "serving thread gone"),
             ServeError::Registry(e) => write!(f, "registry: {e}"),
@@ -177,9 +179,9 @@ impl std::error::Error for ServeError {}
 
 /// Spec-to-shard placement: every spec hashes to a home shard, with
 /// explicit pins overriding the hash for hot specs that need manual
-/// balancing. The same plan must be shared by the router and whoever
-/// builds the shard registries, so [`serve_sharded`] passes it to the
-/// builder implicitly via the shard index.
+/// balancing. The server sends each probe to its spec's home shard under
+/// this plan, so whoever builds the shard registries must use the same
+/// plan; [`serve_sharded`] hands the builder each shard's index for that.
 #[derive(Clone, Debug, Default)]
 pub struct ShardPlan {
     pins: Vec<(SpecId, usize)>,
@@ -337,7 +339,7 @@ impl SchemeLatency {
 /// state from [`ShardedServer::shutdown`]).
 #[derive(Clone, Debug, Default)]
 pub struct ServeStats {
-    /// Requests admitted into the queue (each carries ≥ 0 probes).
+    /// Requests admitted (each carries ≥ 0 probes).
     pub requests: u64,
     /// Probes admitted.
     pub probes_submitted: u64,
@@ -395,7 +397,7 @@ impl ServeStats {
 /// plus the per-shard breakdown the merge came from.
 #[derive(Clone, Debug)]
 pub struct ShardedStats {
-    /// All shards (and the router's admission counters) folded together.
+    /// All shards (and the admission counters) folded together.
     pub merged: ServeStats,
     /// One entry per shard, in shard order.
     pub per_shard: Vec<ServeStats>,
@@ -410,7 +412,7 @@ pub struct ShardedStats {
 /// shard — no coordination beyond the slot mutex), decrement `remaining`,
 /// and the last shard wakes the waiting client.
 struct SlotState {
-    /// Sub-batches still in flight (set by the router before fan-out).
+    /// Sub-batches still in flight (set by the submitter before fan-out).
     remaining: u32,
     /// Probes in the originating request.
     nprobes: u32,
@@ -452,24 +454,39 @@ struct SlabInner {
     free: Vec<u32>,
 }
 
-/// Grow-only slab of reusable reply slots. Slots are recycled through a
-/// free list, so steady-state traffic reuses a warm working set and the
-/// reply path stops allocating entirely.
+/// Grow-only slab of reusable reply slots, and the admission count.
+/// Slots are recycled through a free list, so steady-state traffic reuses
+/// a warm working set and the reply path stops allocating entirely.
 struct TicketSlab {
     inner: Mutex<SlabInner>,
+    /// Requests admitted and not yet resolved; [`finish_sub`] decrements
+    /// it when a slot completes.
+    in_flight: AtomicUsize,
+    /// [`ServeConfig::queue_cap`]: the most `in_flight` may reach.
+    cap: usize,
 }
 
 impl TicketSlab {
-    fn new(prealloc: usize) -> Self {
+    fn new(cap: usize) -> Self {
+        let prealloc = cap.min(4096);
         let slots: Vec<Arc<ReplySlot>> = (0..prealloc).map(|_| Arc::new(ReplySlot::new())).collect();
         let free = (0..prealloc as u32).rev().collect();
         TicketSlab {
             inner: Mutex::new(SlabInner { slots, free }),
+            in_flight: AtomicUsize::new(0),
+            cap,
         }
     }
 
-    /// Claims a slot sized for `nprobes`, resetting it for a new request.
-    fn alloc(&self, nprobes: usize) -> (u32, Arc<ReplySlot>) {
+    /// Admits one request of `nprobes` probes and claims a slot reset for
+    /// it, or returns `None` when `cap` requests are already in flight.
+    fn admit(&self, nprobes: usize) -> Option<(u32, Arc<ReplySlot>)> {
+        // two racing submits may both see the other's overshoot and both
+        // be refused; neither is ever admitted over the cap
+        if self.in_flight.fetch_add(1, Ordering::SeqCst) >= self.cap {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
         let (idx, slot) = {
             let mut inner = self.inner.lock().expect("slab lock");
             match inner.free.pop() {
@@ -494,7 +511,7 @@ impl TicketSlab {
         st.done = false;
         st.client_gone = false;
         drop(st);
-        (idx, slot)
+        Some((idx, slot))
     }
 
     fn release(&self, idx: u32) {
@@ -503,8 +520,10 @@ impl TicketSlab {
 }
 
 /// Resolves one sub-batch against its slot: `fill` writes bits or the
-/// error, then the in-flight count drops and the last resolver either
-/// wakes the client or (client gone) recycles the slot.
+/// error, then the slot's sub-batch count drops and the last resolver
+/// ends the request's admission and either wakes the client or (client
+/// gone) recycles the slot. A request with no probes resolves through one
+/// call with an empty `fill`.
 fn finish_sub(
     slot: &ReplySlot,
     idx: u32,
@@ -516,6 +535,8 @@ fn finish_sub(
     st.remaining = st.remaining.saturating_sub(1);
     if st.remaining == 0 && !st.done {
         st.done = true;
+        // before the client can see `done`, so its next submit has room
+        slab.in_flight.fetch_sub(1, Ordering::SeqCst);
         let gone = st.client_gone;
         drop(st);
         if gone {
@@ -561,13 +582,6 @@ impl Payload {
     }
 }
 
-struct Request {
-    payload: Payload,
-    submitted: Instant,
-    slot: Arc<ReplySlot>,
-    slot_idx: u32,
-}
-
 /// One shard's share of a request: probes plus their positions in the
 /// originating vector (`None` = the whole request landed on this shard,
 /// positions are the identity — the common case under spec-affine
@@ -581,15 +595,6 @@ struct SubBatch {
 }
 
 type ControlFn = Box<dyn FnOnce(&mut ServiceRegistry<'static>) + Send>;
-/// Stamps one [`ControlFn`] per shard for a broadcast control.
-type ControlFactory = Box<dyn FnMut(usize) -> ControlFn + Send>;
-
-enum Msg {
-    Request(Request),
-    ControlOne(usize, ControlFn),
-    ControlAll(ControlFactory),
-    Shutdown,
-}
 
 enum ShardMsg {
     Batch(SubBatch),
@@ -691,49 +696,139 @@ impl Drop for Ticket {
 // client handle
 // ======================================================================
 
-/// A cloneable client endpoint. Handles are cheap (three `Arc`-sized
-/// fields); clone one per client thread.
+/// What the server and every handle share: the shard queues and the plan
+/// that picks among them, the ticket slab, the admission gate and the
+/// admission counters. Workers hold only the slab, so dropping the server
+/// and every handle closes the shard queues and ends idle workers.
+struct Shared {
+    shard_txs: Vec<SyncSender<ShardMsg>>,
+    plan: ShardPlan,
+    slab: Arc<TicketSlab>,
+    /// Set once, by shutdown, under the write side. Submitters push under
+    /// the read side, so the write waits out every push in progress and
+    /// no push can follow a shard's stop marker.
+    closed: RwLock<bool>,
+    requests: AtomicU64,
+    probes_submitted: AtomicU64,
+}
+
+impl Shared {
+    /// Splits an admitted request by home shard and pushes each part onto
+    /// its shard's queue.
+    fn route(&self, payload: Payload, submitted: Instant, slot: &Arc<ReplySlot>, slot_idx: u32) {
+        let shards = self.shard_txs.len();
+        let probes = payload.as_slice();
+        let Some(first) = probes.first() else {
+            // an empty request completes vacuously, touching no shard
+            finish_sub(slot, slot_idx, &self.slab, |_| {});
+            return;
+        };
+        let home = self.plan.shard_of(first.0, shards);
+        let split = probes
+            .iter()
+            .any(|p| self.plan.shard_of(p.0, shards) != home);
+        if !split {
+            // whole request on one shard: positions are the identity, the
+            // payload moves through untouched
+            slot.state.lock().expect("slot lock").remaining = 1;
+            self.send_sub(
+                home,
+                SubBatch {
+                    slot: Arc::clone(slot),
+                    slot_idx,
+                    submitted,
+                    positions: None,
+                    probes: payload,
+                },
+            );
+            return;
+        }
+        let Payload::Many(probes) = payload else {
+            unreachable!("a single probe lives on a single shard");
+        };
+        let mut parts: Vec<(Vec<u32>, Vec<Probe>)> =
+            (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+        for (i, p) in probes.into_iter().enumerate() {
+            let s = self.plan.shard_of(p.0, shards);
+            parts[s].0.push(i as u32);
+            parts[s].1.push(p);
+        }
+        let touched = parts.iter().filter(|(_, v)| !v.is_empty()).count();
+        // remaining is set before any fan-out so a fast shard cannot complete
+        // the slot while siblings are still unrouted
+        slot.state.lock().expect("slot lock").remaining = touched as u32;
+        for (shard, (positions, probes)) in parts.into_iter().enumerate() {
+            if probes.is_empty() {
+                continue;
+            }
+            self.send_sub(
+                shard,
+                SubBatch {
+                    slot: Arc::clone(slot),
+                    slot_idx,
+                    submitted,
+                    positions: Some(positions),
+                    probes: Payload::Many(probes),
+                },
+            );
+        }
+    }
+
+    fn send_sub(&self, shard: usize, sub: SubBatch) {
+        // blocking send: workers always drain, and admission keeps each
+        // queue's requests under its capacity. A dead worker bounces the
+        // sub-batch back and its share resolves as Disconnected instead of
+        // hanging the client.
+        if let Err(mpsc::SendError(ShardMsg::Batch(sub))) =
+            self.shard_txs[shard].send(ShardMsg::Batch(sub))
+        {
+            fail_sub(
+                &sub.slot,
+                sub.slot_idx,
+                ServeError::Disconnected,
+                &self.slab,
+            );
+        }
+    }
+}
+
+/// A cloneable client endpoint. Handles are cheap (one `Arc`); clone one
+/// per client thread.
 #[derive(Clone)]
 pub struct ServeHandle {
-    tx: SyncSender<Msg>,
-    closed: Arc<AtomicBool>,
-    slab: Arc<TicketSlab>,
+    shared: Arc<Shared>,
 }
 
 impl ServeHandle {
     fn submit_payload(&self, payload: Payload) -> Result<Ticket, ServeError> {
-        if self.closed.load(Ordering::Acquire) {
+        let shared = &*self.shared;
+        let closed = shared
+            .closed
+            .read()
+            .expect("only shutdown writes, with one assignment");
+        if *closed {
             return Err(ServeError::ShuttingDown);
         }
-        let (idx, slot) = self.slab.alloc(payload.len());
-        let req = Request {
-            payload,
-            submitted: Instant::now(),
-            slot: Arc::clone(&slot),
-            slot_idx: idx,
-        };
-        match self.tx.try_send(Msg::Request(req)) {
-            Ok(()) => Ok(Ticket {
-                slab: Arc::clone(&self.slab),
-                slot,
-                idx,
-                waited: false,
-            }),
-            Err(TrySendError::Full(_)) => {
-                self.slab.release(idx);
-                Err(ServeError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.slab.release(idx);
-                Err(ServeError::ShuttingDown)
-            }
-        }
+        let n = payload.len();
+        let (idx, slot) = shared.slab.admit(n).ok_or(ServeError::Overloaded)?;
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        shared
+            .probes_submitted
+            .fetch_add(n as u64, Ordering::Relaxed);
+        shared.route(payload, Instant::now(), &slot, idx);
+        drop(closed);
+        Ok(Ticket {
+            slab: Arc::clone(&shared.slab),
+            slot,
+            idx,
+            waited: false,
+        })
     }
 
     /// Submits a probe vector without blocking for the answer; pair with
     /// [`Ticket::wait`]. Typed failures: [`ServeError::Overloaded`] when
-    /// the bounded queue is full, [`ServeError::ShuttingDown`] after
-    /// shutdown.
+    /// [`ServeConfig::queue_cap`] requests are in flight,
+    /// [`ServeError::ShuttingDown`] after shutdown.
     pub fn submit(&self, probes: Vec<Probe>) -> Result<Ticket, ServeError> {
         self.submit_payload(Payload::Many(probes))
     }
@@ -767,37 +862,30 @@ impl ServeHandle {
 // servers
 // ======================================================================
 
-/// The running sharded serving loop: owns the router and every shard
-/// worker, hands out [`ServeHandle`]s, exposes the control plane, and
-/// shuts down gracefully.
+/// The running sharded serving loop: owns every shard worker, hands out
+/// [`ServeHandle`]s, exposes the control plane, and shuts down
+/// gracefully.
 ///
 /// `C` is whatever context each shard's builder chose to surface (spec
-/// ids, run books, ...) — constructed on the worker thread, returned to
-/// the caller by value, one per shard in shard order.
+/// ids, run books, ...) — built with that shard's registry and kept here,
+/// one per shard in shard order.
 pub struct ShardedServer<C = ()> {
-    tx: SyncSender<Msg>,
-    closed: Arc<AtomicBool>,
-    slab: Arc<TicketSlab>,
-    router_stats: Arc<Mutex<ServeStats>>,
+    shared: Arc<Shared>,
     shard_stats: Vec<Arc<Mutex<ServeStats>>>,
-    router: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
     contexts: Vec<C>,
-    shards: usize,
 }
 
 impl<C> ShardedServer<C> {
     /// Number of shards serving.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shared.shard_txs.len()
     }
 
     /// A new client endpoint.
     pub fn handle(&self) -> ServeHandle {
         ServeHandle {
-            tx: self.tx.clone(),
-            closed: Arc::clone(&self.closed),
-            slab: Arc::clone(&self.slab),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -806,14 +894,10 @@ impl<C> ShardedServer<C> {
         &self.contexts
     }
 
-    /// A live merged accounting snapshot across the router and every
-    /// shard (consistent per shard as of its last flush).
+    /// A live merged accounting snapshot across admission and every shard
+    /// (consistent per shard as of its last flush).
     pub fn stats(&self) -> ServeStats {
-        let mut merged = self.router_stats.lock().expect("stats lock").clone();
-        for s in &self.shard_stats {
-            merged.merge(&s.lock().expect("stats lock"));
-        }
-        merged
+        self.merged(&self.shard_stats())
     }
 
     /// A live per-shard snapshot, in shard order.
@@ -822,6 +906,19 @@ impl<C> ShardedServer<C> {
             .iter()
             .map(|s| s.lock().expect("stats lock").clone())
             .collect()
+    }
+
+    /// The admission counters with `per_shard` folded in.
+    fn merged(&self, per_shard: &[ServeStats]) -> ServeStats {
+        let mut merged = ServeStats {
+            requests: self.shared.requests.load(Ordering::Relaxed),
+            probes_submitted: self.shared.probes_submitted.load(Ordering::Relaxed),
+            ..ServeStats::default()
+        };
+        for s in per_shard {
+            merged.merge(s);
+        }
+        merged
     }
 
     /// Broadcasts `f` to every shard — each worker runs it against its own
@@ -835,26 +932,19 @@ impl<C> ShardedServer<C> {
     {
         let f = Arc::new(f);
         let (rtx, rrx) = mpsc::channel::<(usize, R)>();
-        let factory: ControlFactory = Box::new(move |shard| {
-            let f = Arc::clone(&f);
-            let rtx = rtx.clone();
-            Box::new(move |reg: &mut ServiceRegistry<'static>| {
+        for (shard, tx) in self.shared.shard_txs.iter().enumerate() {
+            let (f, rtx) = (Arc::clone(&f), rtx.clone());
+            let c: ControlFn = Box::new(move |reg| {
                 let _ = rtx.send((shard, f(reg)));
-            })
-        });
-        // controls ride the same ordered queues as requests; blocking send
-        // (not try_send) — controls are rare and must not be shed
-        self.tx
-            .send(Msg::ControlAll(factory))
-            .map_err(|_| ServeError::ShuttingDown)?;
-        let mut out: Vec<(usize, R)> = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            match rrx.recv() {
-                Ok(pair) => out.push(pair),
-                Err(_) => break,
-            }
+            });
+            // controls ride the same ordered queues as requests; blocking
+            // send — controls are rare and must not be shed. A dead shard
+            // drops the closure, so its reply never comes.
+            let _ = tx.send(ShardMsg::Control(c));
         }
-        if out.len() != self.shards {
+        drop(rtx);
+        let mut out: Vec<(usize, R)> = rrx.iter().collect();
+        if out.len() != self.shards() {
             return Err(ServeError::Disconnected);
         }
         out.sort_by_key(|&(s, _)| s);
@@ -868,316 +958,100 @@ impl<C> ShardedServer<C> {
         R: Send + 'static,
         F: FnOnce(&mut ServiceRegistry<'static>) -> R + Send + 'static,
     {
-        assert!(shard < self.shards, "shard {shard} out of range");
+        assert!(shard < self.shards(), "shard {shard} out of range");
         let (rtx, rrx) = mpsc::channel();
-        let boxed: ControlFn = Box::new(move |reg| {
+        let c: ControlFn = Box::new(move |reg| {
             let _ = rtx.send(f(reg));
         });
-        self.tx
-            .send(Msg::ControlOne(shard, boxed))
-            .map_err(|_| ServeError::ShuttingDown)?;
-        rrx.recv().map_err(|_| ServeError::ShuttingDown)
+        let _ = self.shared.shard_txs[shard].send(ShardMsg::Control(c));
+        rrx.recv().map_err(|_| ServeError::Disconnected)
     }
 
     /// Drain-then-stop: closes admission (new submissions fail with
     /// [`ServeError::ShuttingDown`]), answers every request already
-    /// admitted on every shard, joins the router and all workers, and
-    /// returns the final merged + per-shard stats. A thread that panicked
-    /// surfaces as [`ServeError::Disconnected`] (its pending submissions
-    /// were error-completed, never left hanging).
-    pub fn shutdown(self) -> Result<ShardedStats, ServeError> {
-        let ShardedServer {
-            tx,
-            closed,
-            router_stats,
-            shard_stats,
-            router,
-            workers,
-            ..
-        } = self;
-        closed.store(true, Ordering::Release);
-        // the marker may block while the queue drains — that is the point
-        let _ = tx.send(Msg::Shutdown);
-        drop(tx);
-        let mut panicked = router.join().is_err();
-        for w in workers {
+    /// admitted on every shard, joins all workers, and returns the final
+    /// merged + per-shard stats. A worker that panicked surfaces as
+    /// [`ServeError::Disconnected`] (its pending submissions were
+    /// error-completed, never left hanging).
+    pub fn shutdown(mut self) -> Result<ShardedStats, ServeError> {
+        *self
+            .shared
+            .closed
+            .write()
+            .expect("only shutdown writes, with one assignment") = true;
+        // every admitted request is queued by now, so each stop marker
+        // lands behind its shard's share
+        for tx in &self.shared.shard_txs {
+            let _ = tx.send(ShardMsg::Shutdown);
+        }
+        let mut panicked = false;
+        for w in std::mem::take(&mut self.workers) {
             panicked |= w.join().is_err();
         }
         if panicked {
             return Err(ServeError::Disconnected);
         }
-        let per_shard: Vec<ServeStats> = shard_stats
-            .iter()
-            .map(|s| s.lock().expect("stats lock").clone())
-            .collect();
-        let mut merged = router_stats.lock().expect("stats lock").clone();
-        for s in &per_shard {
-            merged.merge(s);
-        }
-        Ok(ShardedStats { merged, per_shard })
+        let per_shard = self.shard_stats();
+        Ok(ShardedStats {
+            merged: self.merged(&per_shard),
+            per_shard,
+        })
     }
 }
 
-/// Spawns the sharded serving loop. `build` runs **on each worker
-/// thread** as `build(shard, shards)` and constructs that shard's
-/// registry there (the search schemes' scratch state is single-threaded
-/// by design, so a registry must be born where it serves). It must
-/// register exactly the specs that `plan` routes to `shard` — probes for
-/// a spec the home shard doesn't know come back as that shard's
-/// [`RegistryError::UnknownSpec`]. Any builder error tears the whole loop
-/// down and is returned here instead.
+/// Starts the sharded serving loop: one worker thread per shard and no
+/// other thread. `build(shard, shards)` runs on the calling thread, for
+/// each shard in order, and makes that shard's registry, which then moves
+/// into its worker. It must register exactly the specs that `plan` routes
+/// to `shard` — probes for a spec the home shard doesn't know come back as
+/// that shard's [`RegistryError::UnknownSpec`]. The first builder error is
+/// returned before any thread starts; a panicking builder unwinds into the
+/// caller.
 pub fn serve_sharded<C, F>(
     config: ServeConfig,
     shards: usize,
     plan: ShardPlan,
-    build: F,
+    mut build: F,
 ) -> Result<ShardedServer<C>, RegistryError>
 where
-    C: Send + 'static,
-    F: Fn(usize, usize) -> Result<(ServiceRegistry<'static>, C), RegistryError>
-        + Send
-        + Sync
-        + 'static,
+    F: FnMut(usize, usize) -> Result<(ServiceRegistry<'static>, C), RegistryError>,
 {
     let shards = shards.max(1);
+    let (registries, contexts): (Vec<_>, Vec<C>) = (0..shards)
+        .map(|shard| build(shard, shards))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
     let queue_cap = config.queue_cap.max(1);
-    let (tx, rx) = mpsc::sync_channel::<Msg>(queue_cap);
-    let closed = Arc::new(AtomicBool::new(false));
-    let slab = Arc::new(TicketSlab::new(queue_cap.min(4096)));
-    let router_stats = Arc::new(Mutex::new(ServeStats::default()));
-    let build = Arc::new(build);
-    let (ready_tx, ready_rx) = mpsc::channel();
-
+    let slab = Arc::new(TicketSlab::new(queue_cap));
     let mut shard_txs = Vec::with_capacity(shards);
     let mut shard_stats = Vec::with_capacity(shards);
     let mut workers = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let (stx, srx) = mpsc::sync_channel::<ShardMsg>(queue_cap);
+    for (shard, registry) in registries.into_iter().enumerate() {
+        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(queue_cap);
         let stats = Arc::new(Mutex::new(ServeStats::default()));
-        shard_txs.push(stx);
-        shard_stats.push(Arc::clone(&stats));
-        let build = Arc::clone(&build);
-        let ready = ready_tx.clone();
-        let slab = Arc::clone(&slab);
+        let (worker_stats, slab) = (Arc::clone(&stats), Arc::clone(&slab));
         let worker = std::thread::Builder::new()
             .name(format!("wfp-serve-{shard}"))
-            .spawn(move || {
-                let (registry, context) = match build(shard, shards) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        let _ = ready.send((shard, Err(e)));
-                        return;
-                    }
-                };
-                let _ = ready.send((shard, Ok(context)));
-                drop(ready);
-                shard_loop(registry, srx, config, stats, slab);
-            })
+            .spawn(move || shard_loop(registry, rx, config, worker_stats, slab))
             .expect("spawn shard worker");
+        shard_txs.push(tx);
+        shard_stats.push(stats);
         workers.push(worker);
     }
-    drop(ready_tx);
-
-    let router = {
-        let slab = Arc::clone(&slab);
-        let stats = Arc::clone(&router_stats);
-        let plan = plan.clone();
-        std::thread::Builder::new()
-            .name("wfp-serve-router".into())
-            .spawn(move || router_loop(rx, shard_txs, shards, plan, slab, stats))
-            .expect("spawn serve router")
-    };
-
-    let mut contexts: Vec<Option<C>> = (0..shards).map(|_| None).collect();
-    let mut first_err: Option<RegistryError> = None;
-    for _ in 0..shards {
-        match ready_rx.recv() {
-            Ok((shard, Ok(c))) => contexts[shard] = Some(c),
-            Ok((_, Err(e))) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-            Err(_) => {
-                // a builder panicked before reporting; surface as a
-                // format-ish error rather than poisoning the caller
-                if first_err.is_none() {
-                    first_err = Some(RegistryError::Io {
-                        path: std::path::PathBuf::from("<serve builder>"),
-                        message: "registry builder panicked".into(),
-                    });
-                }
-                break;
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        closed.store(true, Ordering::Release);
-        let _ = tx.send(Msg::Shutdown);
-        drop(tx);
-        let _ = router.join();
-        for w in workers {
-            let _ = w.join();
-        }
-        return Err(e);
-    }
-
     Ok(ShardedServer {
-        tx,
-        closed,
-        slab,
-        router_stats,
+        shared: Arc::new(Shared {
+            shard_txs,
+            plan,
+            slab,
+            closed: RwLock::new(false),
+            requests: AtomicU64::new(0),
+            probes_submitted: AtomicU64::new(0),
+        }),
         shard_stats,
-        router,
         workers,
-        contexts: contexts
-            .into_iter()
-            .map(|c| c.expect("every shard reported"))
-            .collect(),
-        shards,
+        contexts,
     })
-}
-
-// ======================================================================
-// router
-// ======================================================================
-
-fn router_loop(
-    rx: Receiver<Msg>,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
-    shards: usize,
-    plan: ShardPlan,
-    slab: Arc<TicketSlab>,
-    stats: Arc<Mutex<ServeStats>>,
-) {
-    let mut draining = false;
-    loop {
-        let msg = if draining {
-            match rx.try_recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        } else {
-            match rx.recv() {
-                Ok(m) => m,
-                Err(_) => break, // every handle and the server gone
-            }
-        };
-        match msg {
-            Msg::Request(req) => route_request(req, &shard_txs, shards, &plan, &slab, &stats),
-            Msg::ControlOne(shard, c) => {
-                // a dead shard drops the closure; the caller's reply
-                // channel hangs up and control() reports ShuttingDown
-                let _ = shard_txs[shard].send(ShardMsg::Control(c));
-            }
-            Msg::ControlAll(mut factory) => {
-                for (shard, stx) in shard_txs.iter().enumerate() {
-                    let _ = stx.send(ShardMsg::Control(factory(shard)));
-                }
-            }
-            Msg::Shutdown => draining = true,
-        }
-    }
-    for stx in &shard_txs {
-        let _ = stx.send(ShardMsg::Shutdown);
-    }
-}
-
-fn route_request(
-    req: Request,
-    shard_txs: &[SyncSender<ShardMsg>],
-    shards: usize,
-    plan: &ShardPlan,
-    slab: &TicketSlab,
-    stats: &Mutex<ServeStats>,
-) {
-    let n = req.payload.len();
-    {
-        let mut s = stats.lock().expect("stats lock");
-        s.requests += 1;
-        s.probes_submitted += n as u64;
-    }
-    let Request {
-        payload,
-        submitted,
-        slot,
-        slot_idx,
-    } = req;
-    if n == 0 {
-        // an empty request completes vacuously, touching no shard
-        let mut st = slot.state.lock().expect("slot lock");
-        st.done = true;
-        let gone = st.client_gone;
-        drop(st);
-        if gone {
-            slab.release(slot_idx);
-        } else {
-            slot.cv.notify_all();
-        }
-        return;
-    }
-    let probes = payload.as_slice();
-    let home = plan.shard_of(probes[0].0, shards);
-    let split = probes.iter().any(|p| plan.shard_of(p.0, shards) != home);
-    if !split {
-        // whole request on one shard: positions are the identity, the
-        // payload moves through untouched
-        slot.state.lock().expect("slot lock").remaining = 1;
-        send_sub(
-            shard_txs,
-            home,
-            SubBatch {
-                slot,
-                slot_idx,
-                submitted,
-                positions: None,
-                probes: payload,
-            },
-            slab,
-        );
-        return;
-    }
-    let Payload::Many(probes) = payload else {
-        unreachable!("a single probe lives on a single shard");
-    };
-    let mut parts: Vec<(Vec<u32>, Vec<Probe>)> =
-        (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
-    for (i, p) in probes.into_iter().enumerate() {
-        let s = plan.shard_of(p.0, shards);
-        parts[s].0.push(i as u32);
-        parts[s].1.push(p);
-    }
-    let touched = parts.iter().filter(|(_, v)| !v.is_empty()).count();
-    // remaining is set before any fan-out so a fast shard cannot complete
-    // the slot while siblings are still unrouted
-    slot.state.lock().expect("slot lock").remaining = touched as u32;
-    for (shard, (positions, probes)) in parts.into_iter().enumerate() {
-        if probes.is_empty() {
-            continue;
-        }
-        send_sub(
-            shard_txs,
-            shard,
-            SubBatch {
-                slot: Arc::clone(&slot),
-                slot_idx,
-                submitted,
-                positions: Some(positions),
-                probes: Payload::Many(probes),
-            },
-            slab,
-        );
-    }
-}
-
-fn send_sub(shard_txs: &[SyncSender<ShardMsg>], shard: usize, sub: SubBatch, slab: &TicketSlab) {
-    // blocking send: workers always drain, so this only stalls under
-    // honest backpressure. A dead worker bounces the sub-batch back and
-    // its share resolves as Disconnected instead of hanging the client.
-    if let Err(mpsc::SendError(ShardMsg::Batch(sub))) = shard_txs[shard].send(ShardMsg::Batch(sub))
-    {
-        fail_sub(&sub.slot, sub.slot_idx, ServeError::Disconnected, slab);
-    }
 }
 
 // ======================================================================
@@ -1211,7 +1085,7 @@ fn shard_loop(
         } else {
             match rx.recv() {
                 Ok(m) => m,
-                Err(_) => break 'serve, // router gone
+                Err(_) => break 'serve, // the server and every handle gone
             }
         };
         let mut batch: Vec<SubBatch> = Vec::new();
@@ -1300,11 +1174,12 @@ fn shard_loop(
             }
         }
     }
-    // the queue is closed (or the router hung up): nothing left to answer
+    // stopped, or the queue closed: nothing left to answer
 }
 
 /// A poisoned shard's terminal state: fail every incoming sub-batch fast
-/// (instead of hanging its client) until the router closes the queue.
+/// (instead of hanging its client) until the stop marker. Live handles
+/// keep the queue open, so the marker is what lets shutdown join it.
 fn poison_loop(rx: &Receiver<ShardMsg>, slab: &TicketSlab) {
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -1312,7 +1187,7 @@ fn poison_loop(rx: &Receiver<ShardMsg>, slab: &TicketSlab) {
                 fail_sub(&sub.slot, sub.slot_idx, ServeError::Disconnected, slab)
             }
             ShardMsg::Control(c) => drop(c), // hangs up the caller's reply
-            ShardMsg::Shutdown => {}
+            ShardMsg::Shutdown => return,
         }
     }
 }
@@ -1498,6 +1373,18 @@ mod tests {
         probes
     }
 
+    /// The spec ids and run size of a [`paper_server_sharded`] server,
+    /// gathered from every shard's context.
+    fn server_ids(server: &ShardedServer<(Vec<SpecId>, usize)>) -> (Vec<SpecId>, usize) {
+        let mut ids = Vec::new();
+        let mut n = 0;
+        for (shard_ids, vn) in server.contexts() {
+            ids.extend_from_slice(shard_ids);
+            n = *vn;
+        }
+        (ids, n)
+    }
+
     /// The oracle for [`paper_server_sharded`]: one direct registry
     /// holding every scheme's spec and its two runs.
     fn paper_registry_flat(kinds: &[SchemeKind]) -> ServiceRegistry<'static> {
@@ -1552,12 +1439,7 @@ mod tests {
         ];
         const SHARDS: usize = 4;
         let server = paper_server_sharded(ServeConfig::default(), SHARDS, KINDS);
-        let mut ids = Vec::new();
-        let mut n = 0;
-        for (shard_ids, vn) in server.contexts() {
-            ids.extend_from_slice(shard_ids);
-            n = *vn;
-        }
+        let (ids, n) = server_ids(&server);
         assert_eq!(ids.len(), KINDS.len(), "every spec found a home shard");
         let probes = all_pairs(&ids, n);
         let want = paper_registry_flat(KINDS).answer_batch(&probes).unwrap();
@@ -1589,12 +1471,7 @@ mod tests {
         const CLIENTS: usize = 2;
         const DEPTH: usize = 16;
         let server = paper_server_sharded(ServeConfig::default(), 4, KINDS);
-        let mut ids = Vec::new();
-        let mut n = 0;
-        for (shard_ids, vn) in server.contexts() {
-            ids.extend_from_slice(shard_ids);
-            n = *vn;
-        }
+        let (ids, n) = server_ids(&server);
         // interleave the specs so every 5-probe request spans several
         // shards
         let probes = all_pairs(&ids, n);
@@ -1646,6 +1523,146 @@ mod tests {
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.merged.probes_failed, 0);
         assert_eq!(stats.merged.probes_answered, mixed.len() as u64);
+    }
+
+    #[test]
+    fn panicking_shard_fails_alone_and_shutdown_still_joins_it() {
+        const KINDS: &[SchemeKind] = &[
+            SchemeKind::Tcm,
+            SchemeKind::Bfs,
+            SchemeKind::Dfs,
+            SchemeKind::TreeCover,
+        ];
+        const SHARDS: usize = 4;
+        let server = paper_server_sharded(ServeConfig::default(), SHARDS, KINDS);
+        let (ids, n) = server_ids(&server);
+        let plan = ShardPlan::new();
+        let k = plan.shard_of(ids[0], SHARDS);
+        let healthy = *ids
+            .iter()
+            .find(|&&id| plan.shard_of(id, SHARDS) != k)
+            .expect("specs spread over at least two shards");
+        // a second handle outlives the server: it keeps the shard queues
+        // open, so only the stop marker can end the poisoned worker
+        let handle = server.handle();
+        assert!(matches!(
+            server.control_shard(k, |_| panic!("poisoning shard on purpose")),
+            Err(ServeError::Disconnected)
+        ));
+        let mut direct = paper_registry_flat(KINDS);
+        for &id in &ids {
+            let probes = all_pairs(&[id], n);
+            let got = handle.probe_vec(probes.clone());
+            if plan.shard_of(id, SHARDS) == k {
+                assert!(matches!(got, Err(ServeError::Disconnected)), "{got:?}");
+            } else {
+                assert_eq!(got.unwrap(), direct.answer_batch(&probes).unwrap());
+            }
+        }
+        let spanning = vec![
+            (ids[0], RunId(0), RunVertexId(0), RunVertexId(0)),
+            (healthy, RunId(0), RunVertexId(0), RunVertexId(0)),
+        ];
+        assert!(matches!(
+            handle.probe_vec(spanning.clone()),
+            Err(ServeError::Disconnected)
+        ));
+        assert!(matches!(
+            server.control(|reg| reg.len()),
+            Err(ServeError::Disconnected)
+        ));
+        let stats = server.shutdown().expect("a poisoned shard still joins");
+        assert_eq!(stats.per_shard[k].probes_answered, 0);
+        assert!(matches!(
+            handle.probe_vec(spanning),
+            Err(ServeError::ShuttingDown)
+        ));
+    }
+
+    #[test]
+    fn cross_shard_requests_racing_shutdown_are_answered_or_refused() {
+        const KINDS: &[SchemeKind] = &[
+            SchemeKind::Tcm,
+            SchemeKind::Bfs,
+            SchemeKind::Dfs,
+            SchemeKind::TreeCover,
+        ];
+        const SHARDS: usize = 4;
+        const CLIENTS: usize = 2;
+        const DEPTH: usize = 8;
+        // a cap below the clients' combined depth, so admission refuses too
+        let config = ServeConfig {
+            queue_cap: 8,
+            ..ServeConfig::default()
+        };
+        let server = paper_server_sharded(config, SHARDS, KINDS);
+        let (ids, n) = server_ids(&server);
+        let plan = ShardPlan::new();
+        let homes: std::collections::HashSet<usize> =
+            ids.iter().map(|&id| plan.shard_of(id, SHARDS)).collect();
+        assert!(homes.len() >= 2, "specs spread over at least two shards");
+        // interleave the specs, as in the pipelined test, so every 5-probe
+        // request holds every spec and spans every shard that has one
+        let probes = all_pairs(&ids, n);
+        let per_spec = n * n;
+        let mixed: Vec<Probe> = (0..per_spec)
+            .flat_map(|j| (0..ids.len()).map(move |k| k * per_spec + j))
+            .map(|i| probes[i])
+            .collect();
+        let requests: Vec<&[Probe]> = mixed.chunks(5).collect();
+        let mut direct = paper_registry_flat(KINDS);
+        let want: Vec<Vec<bool>> = requests
+            .iter()
+            .map(|r| direct.answer_batch(r).unwrap())
+            .collect();
+
+        let (answered_tx, answered_rx) = mpsc::channel::<()>();
+        let (stats, answered) = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let handle = server.handle();
+                    let (requests, want) = (&requests, &want);
+                    let mut first = Some(answered_tx.clone());
+                    scope.spawn(move || {
+                        let mut answered = 0u64;
+                        let mut inflight = std::collections::VecDeque::with_capacity(DEPTH);
+                        let mut collect = |(j, ticket): (usize, Ticket)| {
+                            let got = ticket.wait().expect("an admitted request is answered");
+                            assert_eq!(got, want[j], "request {j}");
+                            answered += got.len() as u64;
+                            if let Some(tx) = first.take() {
+                                tx.send(()).expect("main thread waits");
+                            }
+                        };
+                        for j in (c..).step_by(CLIENTS).map(|j| j % requests.len()) {
+                            if inflight.len() == DEPTH {
+                                collect(inflight.pop_front().unwrap());
+                            }
+                            match handle.submit(requests[j].to_vec()) {
+                                Ok(ticket) => inflight.push_back((j, ticket)),
+                                Err(ServeError::Overloaded) => {
+                                    if let Some(oldest) = inflight.pop_front() {
+                                        collect(oldest);
+                                    }
+                                }
+                                Err(ServeError::ShuttingDown) => break,
+                                Err(e) => panic!("refusals are typed, got {e}"),
+                            }
+                        }
+                        inflight.into_iter().for_each(collect);
+                        answered
+                    })
+                })
+                .collect();
+            for _ in 0..CLIENTS {
+                answered_rx.recv().expect("every client got one answer");
+            }
+            let stats = server.shutdown().expect("clean shutdown mid-traffic");
+            let answered: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+            (stats, answered)
+        });
+        assert_eq!(stats.merged.probes_answered, answered);
+        assert_eq!(stats.merged.probes_failed, 0);
     }
 
     #[test]
@@ -1842,12 +1859,7 @@ mod tests {
         ];
         const SHARDS: usize = 4;
         let server = paper_server_sharded(ServeConfig::default(), SHARDS, KINDS);
-        let mut ids = Vec::new();
-        let mut n = 0;
-        for (shard_ids, vn) in server.contexts() {
-            ids.extend_from_slice(shard_ids);
-            n = *vn;
-        }
+        let (ids, n) = server_ids(&server);
         let handle = server.handle();
         // pick two specs with *different* home shards so the bad request
         // provably spans shards, with the fault confined to one of them
@@ -2045,11 +2057,20 @@ mod tests {
         assert_eq!(free, total, "every slot returned to the free list");
     }
 
+    // Parallel evaluators share one spec context by reference, and each
+    // registry is built on the calling thread, then moved into its worker.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        const fn send<T: Send>() {}
+        send_sync::<crate::context::SpecContext<SpecScheme>>();
+        send::<ServiceRegistry<'static>>();
+    };
+
     fn server_slab_free_len(handle: &ServeHandle) -> usize {
-        handle.slab.inner.lock().unwrap().free.len()
+        handle.shared.slab.inner.lock().unwrap().free.len()
     }
 
     fn server_slab_len(handle: &ServeHandle) -> usize {
-        handle.slab.inner.lock().unwrap().slots.len()
+        handle.shared.slab.inner.lock().unwrap().slots.len()
     }
 }

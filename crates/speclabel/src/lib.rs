@@ -43,9 +43,9 @@ use wfp_graph::DiGraph;
 
 /// A reachability index over a specification DAG.
 ///
-/// `reaches` takes `&self`; schemes needing scratch space (the search-based
-/// ones) use interior mutability, so an index is cheap to share within a
-/// thread but not `Sync`.
+/// `reaches` takes `&self` and every scheme here is `Send + Sync`: the
+/// search-based ones keep their scratch space per thread, not in the
+/// index, so one index answers any number of threads by reference.
 pub trait SpecIndex {
     /// Builds the index for `graph` (must be a DAG).
     fn build(graph: &DiGraph) -> Self

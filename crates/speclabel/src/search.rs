@@ -4,8 +4,9 @@
 //! index structure is used, we can treat the label length and construction
 //! time to be zero, but the query time ... will be linear in terms of the
 //! size of the specification". The index owns a copy of the (small)
-//! specification graph and reusable scratch buffers behind a `RefCell`, so a
-//! query allocates nothing in the steady state.
+//! specification graph; each thread reuses its own scratch buffers across
+//! every index it queries, so a query allocates nothing in the steady
+//! state and one index serves any number of threads.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -24,11 +25,20 @@ pub enum SearchFlavor {
     Dfs,
 }
 
-#[derive(Clone)]
 struct Scratch {
     visit: VisitMap,
     queue: VecDeque<u32>,
     stack: Vec<u32>,
+}
+
+thread_local! {
+    // Grown to the largest graph this thread has searched; the visit
+    // map's epoch reset forgets the previous search, whatever its graph.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        visit: VisitMap::new(0),
+        queue: VecDeque::new(),
+        stack: Vec::new(),
+    });
 }
 
 /// Query-time graph search over a stored copy of the specification.
@@ -36,7 +46,6 @@ struct Scratch {
 pub struct GraphSearch {
     graph: DiGraph,
     flavor: SearchFlavor,
-    scratch: RefCell<Scratch>,
 }
 
 impl GraphSearch {
@@ -45,11 +54,6 @@ impl GraphSearch {
         GraphSearch {
             graph: graph.clone(),
             flavor,
-            scratch: RefCell::new(Scratch {
-                visit: VisitMap::new(graph.vertex_count()),
-                queue: VecDeque::new(),
-                stack: Vec::new(),
-            }),
         }
     }
 
@@ -65,15 +69,18 @@ impl SpecIndex for GraphSearch {
     }
 
     fn reaches(&self, u: u32, v: u32) -> bool {
-        let scratch = &mut *self.scratch.borrow_mut();
-        match self.flavor {
-            SearchFlavor::Bfs => {
-                bfs_reaches(&self.graph, u, v, &mut scratch.visit, &mut scratch.queue)
+        SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.visit.grow(self.graph.vertex_count());
+            match self.flavor {
+                SearchFlavor::Bfs => {
+                    bfs_reaches(&self.graph, u, v, &mut scratch.visit, &mut scratch.queue)
+                }
+                SearchFlavor::Dfs => {
+                    dfs_reaches(&self.graph, u, v, &mut scratch.visit, &mut scratch.stack)
+                }
             }
-            SearchFlavor::Dfs => {
-                dfs_reaches(&self.graph, u, v, &mut scratch.visit, &mut scratch.stack)
-            }
-        }
+        })
     }
 
     fn label_bits(&self, _v: u32) -> usize {
@@ -95,6 +102,10 @@ impl SpecIndex for GraphSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::random_rooted_dag;
+    use crate::{SchemeKind, SpecScheme};
+    use wfp_graph::rng::Xoshiro256;
+    use wfp_graph::TransitiveClosure;
 
     fn sample() -> DiGraph {
         let mut g = DiGraph::with_vertices(5);
@@ -137,5 +148,57 @@ mod tests {
             assert!(!idx.reaches(2, 0));
             assert!(!idx.reaches(1, 4));
         }
+    }
+
+    // Every scheme answers any number of threads by reference.
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<SpecScheme>();
+    };
+
+    #[test]
+    fn one_thread_scratch_serves_graphs_of_every_size() {
+        // small, large, small: the scratch must grow for the large graph
+        // and forget its visits when the small one comes back
+        let mut rng = Xoshiro256::seed_from_u64(5);
+        let small = random_rooted_dag(&mut rng, 5, 0.3);
+        let large = random_rooted_dag(&mut rng, 60, 0.05);
+        for g in [&small, &large, &small] {
+            let oracle = TransitiveClosure::build(g);
+            let bfs = GraphSearch::with_flavor(g, SearchFlavor::Bfs);
+            let dfs = GraphSearch::with_flavor(g, SearchFlavor::Dfs);
+            let other = GraphSearch::with_flavor(&large, SearchFlavor::Dfs);
+            let n = g.vertex_count() as u32;
+            for u in 0..n {
+                for v in 0..n {
+                    let want = oracle.reaches(u, v);
+                    assert_eq!(bfs.reaches(u, v), want, "BFS ({u},{v}) n={n}");
+                    // a search over another graph between the two flavors
+                    assert!(other.reaches(0, 59), "vertex 0 roots the large graph");
+                    assert_eq!(dfs.reaches(u, v), want, "DFS ({u},{v}) n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threads_share_one_index() {
+        let mut rng = Xoshiro256::seed_from_u64(6);
+        let g = random_rooted_dag(&mut rng, 60, 0.05);
+        let oracle = TransitiveClosure::build(&g);
+        let scheme = SpecScheme::build(SchemeKind::Bfs, &g);
+        let (scheme, oracle) = (&scheme, &oracle);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                scope.spawn(move || {
+                    // each thread walks the pairs from its own offset, so
+                    // the threads search different pairs at the same time
+                    for i in 0..60 * 60 {
+                        let (u, v) = ((i + t * 900) % 3600 / 60, i % 60);
+                        assert_eq!(scheme.reaches(u, v), oracle.reaches(u, v), "({u},{v})");
+                    }
+                });
+            }
+        });
     }
 }
