@@ -23,7 +23,12 @@
 //! * **pressure** — a configurable byte budget over the fleets'
 //!   [`FleetStats`](crate::FleetStats) memory signal. When resident bytes exceed the budget,
 //!   least-recently-used fleets are offloaded to their snapshot (memory or
-//!   directory backed) and reload transparently on the next probe.
+//!   directory backed) and reload transparently on the next probe. A
+//!   fleet whose content changed since its snapshot was written is sealed
+//!   bit-packed and written in that compact form, so its reload reads
+//!   about a third of the bytes, binds zero-copy views and takes about a
+//!   third of the budget; an unchanged fleet writes nothing and reloads in
+//!   whatever form its snapshot holds.
 //!
 //! Integrity has the same contract as the rest of the snapshot layer: a
 //! truncated or bit-flipped manifest, a forged entry, or a `*.wfps` file
@@ -359,7 +364,9 @@ struct Slot<'s> {
     /// Whether the resident fleet's *content* (runs, slot states) has
     /// diverged from the snapshot in the backing store. A clean fleet
     /// offloads without re-serializing; decision counters are carried
-    /// across separately (`saved_counters`), so probing stays clean.
+    /// across separately (`saved_counters`), so probing stays clean. A
+    /// dirty fleet seals its raw frozen runs packed on offload and writes
+    /// that form ([`ServiceRegistry::offload`]).
     dirty: bool,
     /// Per-slot decision counters captured at a clean offload, re-applied
     /// on the next load so counter continuity survives the skipped
@@ -404,7 +411,8 @@ pub struct RegistryStats {
     /// (parse + bind/decode), so benches can attribute reload cost.
     pub decode_ms: f64,
     /// Frozen runs currently serving in bit-packed form, summed over the
-    /// resident fleets (see [`ServiceRegistry::seal_packed`]).
+    /// resident fleets: runs sealed by [`ServiceRegistry::seal_packed`],
+    /// and every run of a fleet reloaded after a dirty eviction.
     pub packed_runs: usize,
     /// Packed runs served out of a [`crate::PackedColumnsView`], summed
     /// over the resident fleets. Every packed run is one, so this always
@@ -848,7 +856,9 @@ impl<'s> ServiceRegistry<'s> {
     /// place ([`FleetEngine::seal_packed_all`]), reloading the fleet first
     /// if it was offloaded. Returns the number of runs sealed. The next
     /// offload re-serializes (the fleet now diverges from its stored
-    /// snapshot), after which reloads ride the zero-copy path.
+    /// snapshot), after which reloads ride the zero-copy path. A dirty
+    /// offload seals on its own; this call shrinks a fleet while it stays
+    /// resident, and is what turns a clean raw fleet packed.
     pub fn seal_packed(&mut self, spec: SpecId) -> Result<usize, RegistryError> {
         let idx = self.index_of(spec)?;
         self.touch(idx)?;
@@ -882,7 +892,11 @@ impl<'s> ServiceRegistry<'s> {
 
     /// Explicitly offloads `spec` to its snapshot (memory store or
     /// directory). A fleet with in-flight live runs refuses with
-    /// [`FleetError::StillLive`]; an already-offloaded spec is a no-op.
+    /// [`FleetError::StillLive`] and keeps its resident form; an
+    /// already-offloaded spec is a no-op. A fleet changed since its
+    /// snapshot was written seals its raw frozen runs packed and writes
+    /// that form, so its next probe faults it in zero-copy; an unchanged
+    /// fleet writes nothing.
     pub fn evict(&mut self, spec: SpecId) -> Result<(), RegistryError> {
         let idx = self.index_of(spec)?;
         self.offload(idx)
@@ -1119,6 +1133,18 @@ impl<'s> ServiceRegistry<'s> {
     /// are carried across in `saved_counters`, and the later fault-in is a
     /// checksum (or, for the memory store, a pointer-identity rebind) of
     /// the bytes already in the store.
+    ///
+    /// A *dirty* fleet is written in the compact form: its raw frozen runs
+    /// are sealed first ([`FleetEngine::seal_packed_all`], which carries
+    /// their decision counters over), so the stored snapshot holds only
+    /// [`PACKED_COLUMNS_ALIGNED`](snapshot::seg::PACKED_COLUMNS_ALIGNED)
+    /// runs. Its next fault-in reads and checksums about a third of the
+    /// bytes a raw snapshot takes and binds views over the load buffer
+    /// instead of decoding columns, and `est_bytes` budgets that packed
+    /// size. A fleet with a live run is refused with
+    /// [`FleetError::StillLive`] before anything is sealed; a failed
+    /// directory write leaves the fleet resident and dirty, already
+    /// sealed.
     fn offload(&mut self, idx: usize) -> Result<(), RegistryError> {
         let spec = self.slots[idx].id;
         if matches!(self.slots[idx].state, State::Offloaded) {
@@ -1138,9 +1164,14 @@ impl<'s> ServiceRegistry<'s> {
             return Ok(());
         }
         let (bytes, runs, est) = {
-            let State::Resident { fleet, graph } = &self.slots[idx].state else {
+            let State::Resident { fleet, graph } = &mut self.slots[idx].state else {
                 unreachable!("checked resident above");
             };
+            // write the compact form, so the next fault-in binds views; a
+            // live run makes `save` refuse below, with nothing sealed
+            if fleet.stats().live == 0 {
+                fleet.seal_packed_all();
+            }
             let st = fleet.stats();
             let bytes = fleet
                 .save(graph)
@@ -1432,14 +1463,16 @@ mod tests {
         reg.evict(ids[0]).unwrap();
         assert_eq!(reg.stats().evictions, 3);
 
-        // transparent reload: same answers, same per-fleet accounting
+        // transparent reload: same answers, same per-fleet accounting; the
+        // evictions were dirty, so both runs of each fleet came back packed
         assert_eq!(reg.answer_batch(&probes).unwrap(), want);
         let stats = reg.stats();
         assert_eq!(stats.resident, 3);
         assert_eq!(stats.lazy_loads, 3);
         for &id in &ids {
             let fleet = reg.fleet(id).expect("resident after probes");
-            assert_eq!(fleet.stats().frozen, 2);
+            assert_eq!(fleet.stats().packed, 2);
+            assert_eq!(fleet.stats().frozen, 0);
             assert_eq!(fleet.stats().context_refs, 1);
         }
     }
@@ -1892,8 +1925,8 @@ mod tests {
         assert_eq!(stats.lazy_loads, 2);
         assert_eq!(stats.zero_copy_loads, 2);
 
-        // mutating the fleet re-dirties it: the next cycle re-serializes
-        // (a raw frozen run decodes, so the load is no longer all-views)
+        // mutating the fleet re-dirties it: the next cycle re-serializes,
+        // sealing the new raw run packed first, so the load is all views
         reg.register_labels(id, &l).unwrap();
         reg.evict(id).unwrap();
         assert!(reg
@@ -1901,8 +1934,150 @@ mod tests {
             .is_ok());
         let stats = reg.stats();
         assert_eq!(stats.lazy_loads, 3);
-        assert_eq!(stats.zero_copy_loads, 2, "mixed load is not zero-copy");
-        assert_eq!(stats.zero_copy_runs, 1, "but the sealed run still binds");
+        assert_eq!(stats.zero_copy_loads, 3, "the new run was sealed");
+        assert_eq!(stats.zero_copy_runs, 2, "both runs bind as views");
         assert_eq!(reg.run_count(id).unwrap(), 2);
+    }
+
+    /// What one fleet answered, counted and held before its eviction.
+    struct BeforeEviction {
+        answers: Vec<bool>,
+        counters: Vec<(u64, u64)>,
+        resident_bytes: usize,
+    }
+
+    /// Every pair of every run of `spec` (run ids `0..run_count`), in run,
+    /// then `u`, then `v` order.
+    fn all_pairs(reg: &mut ServiceRegistry<'_>, spec: SpecId, n: usize) -> Vec<bool> {
+        let runs = reg.run_count(spec).unwrap() as u32;
+        let n = n as u32;
+        let probes: Vec<_> = (0..runs)
+            .flat_map(|r| (0..n).flat_map(move |u| (0..n).map(move |v| (r, u, v))))
+            .map(|(r, u, v)| (spec, RunId(r), RunVertexId(u), RunVertexId(v)))
+            .collect();
+        reg.answer_batch(&probes).unwrap()
+    }
+
+    /// Probes every pair of the resident fleet `spec`, then records its
+    /// answers, per-run decision counters and the registry's resident
+    /// bytes.
+    fn before_eviction(reg: &mut ServiceRegistry<'_>, spec: SpecId, n: usize) -> BeforeEviction {
+        let answers = all_pairs(reg, spec, n);
+        BeforeEviction {
+            answers,
+            counters: reg.fleet(spec).unwrap().slot_counters(),
+            resident_bytes: reg.resident_bytes(),
+        }
+    }
+
+    /// Faults `spec` back in after a dirty eviction and checks that it
+    /// came back all packed, bound zero-copy, smaller, with its counters
+    /// continued and its answers unchanged. The caller arranges that
+    /// `spec` is the only fleet resident afterwards, as it was before.
+    fn assert_packed_reload(
+        reg: &mut ServiceRegistry<'_>,
+        spec: SpecId,
+        n: usize,
+        before: &BeforeEviction,
+    ) {
+        let loads = reg.stats();
+        reg.ensure_resident(spec).unwrap();
+        let stats = reg.stats();
+        assert_eq!(stats.lazy_loads, loads.lazy_loads + 1);
+        assert_eq!(
+            stats.zero_copy_loads,
+            loads.zero_copy_loads + 1,
+            "the fault-in binds views"
+        );
+        let fleet = reg.fleet(spec).unwrap();
+        let fs = fleet.stats();
+        assert_eq!((fs.frozen, fs.packed), (0, fleet.run_count()));
+        assert_eq!(fleet.slot_counters(), before.counters, "counters continue");
+        assert!(
+            reg.resident_bytes() < before.resident_bytes,
+            "{} packed bytes, {} raw",
+            reg.resident_bytes(),
+            before.resident_bytes
+        );
+        assert_eq!(all_pairs(reg, spec, n), before.answers);
+    }
+
+    /// A dirty eviction writes the compact form in both stores: the fleet
+    /// faults back in all packed and zero-copy, under every scheme.
+    #[test]
+    fn dirty_eviction_comes_back_packed_and_zero_copy() {
+        let spec = paper_spec();
+        let n = paper_run(&spec).vertex_count();
+
+        // memory store: under a zero budget, registering the next spec
+        // pushes out the last one, dirty since its `register_labels`
+        let mut reg = ServiceRegistry::with_budget(0);
+        let mut ids = Vec::new();
+        let mut befores = Vec::new();
+        for kind in SchemeKind::ALL {
+            let id = reg.register_spec(&spec, kind).unwrap();
+            let l = labels(&spec, kind);
+            reg.register_labels(id, &l).unwrap();
+            reg.register_labels(id, &l).unwrap();
+            befores.push(before_eviction(&mut reg, id, n));
+            ids.push(id);
+        }
+        // the first fault-in pushes out the last spec, dirty like the rest
+        for (&id, before) in ids.iter().zip(&befores) {
+            assert_packed_reload(&mut reg, id, n, before);
+        }
+        let stats = reg.stats();
+        assert_eq!(stats.evictions, 11, "six dirty, then five clean");
+        assert_eq!(stats.lazy_loads, 6);
+        assert_eq!(stats.zero_copy_loads, stats.lazy_loads);
+
+        // directory store: `save_dir` writes the raw fleets, and a fault-in
+        // by `register_labels` dirties each one before its `evict`
+        let dir = tmp("dirty-eviction-packed");
+        let mut raw = ServiceRegistry::new();
+        for (kind, &id) in SchemeKind::ALL.into_iter().zip(&ids) {
+            assert_eq!(raw.register_spec(&spec, kind).unwrap(), id);
+            raw.register_labels(id, &labels(&spec, kind)).unwrap();
+        }
+        raw.save_dir(&dir).unwrap();
+        let mut reg = ServiceRegistry::open_dir(&dir, None).unwrap();
+        for (kind, &id) in SchemeKind::ALL.into_iter().zip(&ids) {
+            reg.register_labels(id, &labels(&spec, kind)).unwrap();
+            assert_eq!(reg.fleet(id).unwrap().stats().frozen, 2, "raw on disk");
+            let before = before_eviction(&mut reg, id, n);
+            reg.evict(id).unwrap();
+            let file = std::fs::read(dir.join(id.file_name())).unwrap();
+            let parsed = SnapshotReader::parse(&file).unwrap();
+            assert_eq!(parsed.all(seg::RUN_COLUMNS).count(), 0, "no raw run left");
+            assert_eq!(parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(), 2);
+            assert_packed_reload(&mut reg, id, n, &before);
+            // clean now, so this writes nothing; the next spec faults in
+            // alone, as `resident_bytes` in both checks assumes
+            reg.evict(id).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fleet with a live run refuses its eviction before anything is
+    /// sealed: its frozen runs stay raw.
+    #[test]
+    fn refused_eviction_seals_nothing() {
+        let spec = paper_spec();
+        let mut reg = ServiceRegistry::new();
+        let id = reg.register_spec(&spec, SchemeKind::Tcm).unwrap();
+        let l = labels(&spec, SchemeKind::Tcm);
+        reg.register_labels(id, &l).unwrap();
+        reg.register_labels(id, &l).unwrap();
+        let run = reg.begin_live(id, &spec).unwrap();
+        assert!(matches!(
+            reg.evict(id),
+            Err(RegistryError::Fleet {
+                error: FleetError::StillLive(r),
+                ..
+            }) if r == run
+        ));
+        assert!(reg.resident(id));
+        let fs = reg.fleet(id).unwrap().stats();
+        assert_eq!((fs.frozen, fs.packed, fs.live), (2, 0, 1));
     }
 }
