@@ -26,8 +26,8 @@ usage:
                [--seed S] [--probes M] [--threads N] [--scheme KIND]
                [--packed] [--save DIR] [--load DIR]
   wfp registry [spec.xml...] [--gen-specs N] [--runs K] [--target VERTICES]
-               [--seed S] [--probes M] [--budget BYTES] [--packed]
-               [--save DIR] [--load DIR]
+               [--seed S] [--probes M] [--budget BYTES] [--save DIR]
+               [--load DIR]
   wfp serve    [spec.xml...] [--gen-specs N] [--runs K] [--target VERTICES]
                [--seed S] [--probes M] [--clients C] [--arrival PATTERN]
                [--budget BYTES] [--load DIR] [--batch N] [--window US]
@@ -53,7 +53,7 @@ content-addressed registry (schemes cycle per spec); --budget BYTES (or
 e.g. 64M, 512K) evicts least-recently-used fleets to their snapshot under
 memory pressure, --save DIR writes one *.wfps per spec + registry.manifest,
 and --load DIR opens the directory lazily: each fleet loads on first probe
-(--packed seals runs before saving, so reloads bind the snapshot zero-copy).
+(runs are packed as they register, so reloads bind the snapshot zero-copy).
 serve runs the same multi-spec registry behind the request/response loop:
 --clients C threads replay --probes M mixed probes, at most --queue N
 requests in flight, coalesced into batches of up to --batch probes per
@@ -265,7 +265,6 @@ fn run() -> Result<String, CliError> {
                 seed: args.num("seed")?.unwrap_or(0),
                 probes: args.num("probes")?.unwrap_or(100_000),
                 budget,
-                packed: args.flags.contains_key("packed"),
                 save: save.as_deref(),
                 load: load.as_deref(),
             })

@@ -857,10 +857,6 @@ pub struct RegistryOpts<'a> {
     /// Resident-byte budget across all fleets (`--budget`, parsed by
     /// [`parse_budget`]); `None` disables pressure eviction.
     pub budget: Option<usize>,
-    /// Seal every fleet's frozen runs into bit-packed columns before
-    /// probing (`--packed`): snapshots then carry aligned columns, so a
-    /// later `--load` faults fleets in zero-copy.
-    pub packed: bool,
     /// Persist the registry as a snapshot directory after answering.
     pub save: Option<&'a Path>,
     /// Open a saved snapshot directory (lazy: fleets load on first probe)
@@ -869,8 +865,7 @@ pub struct RegistryOpts<'a> {
 }
 
 /// `wfp registry [spec.xml...] [--gen-specs N] [--runs K] [--target V]
-///  [--seed S] [--probes M] [--budget BYTES] [--packed] [--save DIR]
-///  [--load DIR]`
+///  [--seed S] [--probes M] [--budget BYTES] [--save DIR] [--load DIR]`
 ///
 /// The multi-spec serving scenario: each specification (loaded from XML
 /// and/or generated) gets its own fleet of `K` runs, all behind one
@@ -961,14 +956,6 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
                 .join("/"),
         )?;
         writeln!(out, "labeled + registered in {label_ms:.1} ms")?;
-        if opts.packed {
-            let ids: Vec<_> = registry.spec_ids().collect();
-            let mut sealed = 0usize;
-            for id in ids {
-                sealed += registry.seal_packed(id)?;
-            }
-            writeln!(out, "sealed {sealed} runs into bit-packed columns")?;
-        }
         registry
     };
 

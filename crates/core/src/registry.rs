@@ -23,12 +23,15 @@
 //! * **pressure** — a configurable byte budget over the fleets'
 //!   [`FleetStats`](crate::FleetStats) memory signal. When resident bytes exceed the budget,
 //!   least-recently-used fleets are offloaded to their snapshot (memory or
-//!   directory backed) and reload transparently on the next probe. A
-//!   fleet whose content changed since its snapshot was written is sealed
-//!   bit-packed and written in that compact form, so its reload reads
-//!   about a third of the bytes, binds zero-copy views and takes about a
-//!   third of the budget; an unchanged fleet writes nothing and reloads in
-//!   whatever form its snapshot holds.
+//!   directory backed) and reload transparently on the next probe. The
+//!   registry packs every run as it registers or freezes it, so a fleet it
+//!   built serves, offloads and persists bit-packed: its reload reads about
+//!   a third of the bytes a raw snapshot takes, binds zero-copy views and
+//!   takes about a third of the budget. A fleet whose content changed since
+//!   its snapshot was written is re-serialized on offload; an unchanged
+//!   fleet writes nothing and reloads in whatever form its snapshot holds,
+//!   which is raw only in a directory written before registries packed
+//!   their runs.
 //!
 //! Integrity has the same contract as the rest of the snapshot layer: a
 //! truncated or bit-flipped manifest, a forged entry, or a `*.wfps` file
@@ -365,8 +368,9 @@ struct Slot<'s> {
     /// diverged from the snapshot in the backing store. A clean fleet
     /// offloads without re-serializing; decision counters are carried
     /// across separately (`saved_counters`), so probing stays clean. A
-    /// dirty fleet seals its raw frozen runs packed on offload and writes
-    /// that form ([`ServiceRegistry::offload`]).
+    /// dirty fleet is re-serialized on offload
+    /// ([`ServiceRegistry::offload`]), in the packed form every run this
+    /// registry registers or freezes is born in.
     dirty: bool,
     /// Per-slot decision counters captured at a clean offload, re-applied
     /// on the next load so counter continuity survives the skipped
@@ -411,8 +415,10 @@ pub struct RegistryStats {
     /// (parse + bind/decode), so benches can attribute reload cost.
     pub decode_ms: f64,
     /// Frozen runs currently serving in bit-packed form, summed over the
-    /// resident fleets: runs sealed by [`ServiceRegistry::seal_packed`],
-    /// and every run of a fleet reloaded after a dirty eviction.
+    /// resident fleets: every run the registry registered or froze, and
+    /// every run faulted in from a packed snapshot. Only a fleet faulted in
+    /// from a directory written before registries packed their runs holds
+    /// raw runs, until [`ServiceRegistry::seal_packed`] packs them.
     pub packed_runs: usize,
     /// Packed runs served out of a [`crate::PackedColumnsView`], summed
     /// over the resident fleets. Every packed run is one, so this always
@@ -633,7 +639,11 @@ impl<'s> ServiceRegistry<'s> {
     // ---------------- run lifecycle, routed by spec ----------------
 
     /// Registers a frozen run (its offline labels) under `spec`,
-    /// reloading the fleet first if it was offloaded.
+    /// reloading the fleet first if it was offloaded. The run is stored
+    /// bit-packed from the start ([`FleetEngine::seal_packed`]), so it
+    /// serves, offloads and persists as
+    /// [`PACKED_COLUMNS_ALIGNED`](snapshot::seg::PACKED_COLUMNS_ALIGNED)
+    /// and the budget counts its packed size.
     pub fn register_labels(
         &mut self,
         spec: SpecId,
@@ -643,7 +653,11 @@ impl<'s> ServiceRegistry<'s> {
         self.touch(idx)?;
         let (run, count) = {
             let (fleet, _) = self.resident_mut(idx);
-            (fleet.register_labels(labels), fleet.run_count())
+            let run = fleet.register_labels(labels);
+            fleet
+                .seal_packed(run)
+                .expect("a run registered just now is neither live nor evicted");
+            (run, fleet.run_count())
         };
         self.slots[idx].runs = count;
         self.slots[idx].dirty = true;
@@ -696,13 +710,18 @@ impl<'s> ServiceRegistry<'s> {
     }
 
     /// Freezes a completed live run in place (same [`RunId`], labels
-    /// extracted in execution order).
+    /// extracted in execution order), then packs it like
+    /// [`register_labels`](Self::register_labels) does, decision counters
+    /// included. A failed freeze packs nothing and leaves the run live.
     pub fn freeze_run(&mut self, spec: SpecId, run: RunId) -> Result<(), RegistryError> {
         let idx = self.index_of(spec)?;
         let (fleet, _) = self.resident_or_err(idx, run)?;
         fleet
             .freeze_run(run)
             .map_err(|error| RegistryError::Fleet { spec, error })?;
+        fleet
+            .seal_packed(run)
+            .expect("a run frozen just now is neither live nor evicted");
         self.slots[idx].dirty = true;
         Ok(())
     }
@@ -854,11 +873,12 @@ impl<'s> ServiceRegistry<'s> {
 
     /// Seals every raw frozen run of `spec` into bit-packed columns in
     /// place ([`FleetEngine::seal_packed_all`]), reloading the fleet first
-    /// if it was offloaded. Returns the number of runs sealed. The next
-    /// offload re-serializes (the fleet now diverges from its stored
-    /// snapshot), after which reloads ride the zero-copy path. A dirty
-    /// offload seals on its own; this call shrinks a fleet while it stays
-    /// resident, and is what turns a clean raw fleet packed.
+    /// if it was offloaded. Returns the number of runs sealed. Every run
+    /// this registry registers or freezes is packed already, so on a fleet
+    /// it built this returns 0; only a fleet that faulted in raw from a
+    /// directory written before registries packed their runs has runs to
+    /// seal. A sealed fleet re-serializes on its next offload, after which
+    /// reloads ride the zero-copy path.
     pub fn seal_packed(&mut self, spec: SpecId) -> Result<usize, RegistryError> {
         let idx = self.index_of(spec)?;
         self.touch(idx)?;
@@ -894,9 +914,9 @@ impl<'s> ServiceRegistry<'s> {
     /// directory). A fleet with in-flight live runs refuses with
     /// [`FleetError::StillLive`] and keeps its resident form; an
     /// already-offloaded spec is a no-op. A fleet changed since its
-    /// snapshot was written seals its raw frozen runs packed and writes
-    /// that form, so its next probe faults it in zero-copy; an unchanged
-    /// fleet writes nothing.
+    /// snapshot was written is re-serialized in the packed form its runs
+    /// were registered or frozen in, so its next probe faults it in
+    /// zero-copy; an unchanged fleet writes nothing.
     pub fn evict(&mut self, spec: SpecId) -> Result<(), RegistryError> {
         let idx = self.index_of(spec)?;
         self.offload(idx)
@@ -1134,17 +1154,17 @@ impl<'s> ServiceRegistry<'s> {
     /// checksum (or, for the memory store, a pointer-identity rebind) of
     /// the bytes already in the store.
     ///
-    /// A *dirty* fleet is written in the compact form: its raw frozen runs
-    /// are sealed first ([`FleetEngine::seal_packed_all`], which carries
-    /// their decision counters over), so the stored snapshot holds only
+    /// A *dirty* fleet is re-serialized. Every run this registry registers
+    /// or freezes is packed on arrival, so the stored snapshot holds only
     /// [`PACKED_COLUMNS_ALIGNED`](snapshot::seg::PACKED_COLUMNS_ALIGNED)
-    /// runs. Its next fault-in reads and checksums about a third of the
+    /// runs: the next fault-in reads and checksums about a third of the
     /// bytes a raw snapshot takes and binds views over the load buffer
     /// instead of decoding columns, and `est_bytes` budgets that packed
-    /// size. A fleet with a live run is refused with
-    /// [`FleetError::StillLive`] before anything is sealed; a failed
-    /// directory write leaves the fleet resident and dirty, already
-    /// sealed.
+    /// size. Only a fleet faulted in raw from a directory written before
+    /// registries packed their runs writes raw runs back, until
+    /// [`seal_packed`](Self::seal_packed) packs them. A fleet with a live
+    /// run is refused with [`FleetError::StillLive`]; a failed directory
+    /// write leaves the fleet resident and dirty.
     fn offload(&mut self, idx: usize) -> Result<(), RegistryError> {
         let spec = self.slots[idx].id;
         if matches!(self.slots[idx].state, State::Offloaded) {
@@ -1164,14 +1184,9 @@ impl<'s> ServiceRegistry<'s> {
             return Ok(());
         }
         let (bytes, runs, est) = {
-            let State::Resident { fleet, graph } = &mut self.slots[idx].state else {
+            let State::Resident { fleet, graph } = &self.slots[idx].state else {
                 unreachable!("checked resident above");
             };
-            // write the compact form, so the next fault-in binds views; a
-            // live run makes `save` refuse below, with nothing sealed
-            if fleet.stats().live == 0 {
-                fleet.seal_packed_all();
-            }
             let st = fleet.stats();
             let bytes = fleet
                 .save(graph)
@@ -1463,8 +1478,8 @@ mod tests {
         reg.evict(ids[0]).unwrap();
         assert_eq!(reg.stats().evictions, 3);
 
-        // transparent reload: same answers, same per-fleet accounting; the
-        // evictions were dirty, so both runs of each fleet came back packed
+        // transparent reload: same answers, same per-fleet accounting; both
+        // runs of each fleet were packed at registration and came back so
         assert_eq!(reg.answer_batch(&probes).unwrap(), want);
         let stats = reg.stats();
         assert_eq!(stats.resident, 3);
@@ -1875,7 +1890,9 @@ mod tests {
         let id = reg.register_spec(&spec, SchemeKind::Tcm).unwrap();
         let l = labels(&spec, SchemeKind::Tcm);
         reg.register_labels(id, &l).unwrap();
-        assert_eq!(reg.seal_packed(id).unwrap(), 1, "the run seals packed");
+        assert_eq!(reg.seal_packed(id).unwrap(), 0, "the run was born packed");
+        let fs = reg.fleet(id).unwrap().stats();
+        assert_eq!((fs.frozen, fs.packed), (0, 1));
 
         let n = paper_run(&spec).vertex_count();
         let mut want = Vec::new();
@@ -1926,7 +1943,8 @@ mod tests {
         assert_eq!(stats.zero_copy_loads, 2);
 
         // mutating the fleet re-dirties it: the next cycle re-serializes,
-        // sealing the new raw run packed first, so the load is all views
+        // and the new run was packed at registration, so the load is all
+        // views
         reg.register_labels(id, &l).unwrap();
         reg.evict(id).unwrap();
         assert!(reg
@@ -1934,7 +1952,7 @@ mod tests {
             .is_ok());
         let stats = reg.stats();
         assert_eq!(stats.lazy_loads, 3);
-        assert_eq!(stats.zero_copy_loads, 3, "the new run was sealed");
+        assert_eq!(stats.zero_copy_loads, 3, "the new run was born packed");
         assert_eq!(stats.zero_copy_runs, 2, "both runs bind as views");
         assert_eq!(reg.run_count(id).unwrap(), 2);
     }
@@ -1971,9 +1989,10 @@ mod tests {
     }
 
     /// Faults `spec` back in after a dirty eviction and checks that it
-    /// came back all packed, bound zero-copy, smaller, with its counters
-    /// continued and its answers unchanged. The caller arranges that
-    /// `spec` is the only fleet resident afterwards, as it was before.
+    /// came back all packed, bound zero-copy, at the size it had before
+    /// (its runs were packed at registration), with its counters continued
+    /// and its answers unchanged. The caller arranges that `spec` is the
+    /// only fleet resident afterwards, as it was before.
     fn assert_packed_reload(
         reg: &mut ServiceRegistry<'_>,
         spec: SpecId,
@@ -1993,11 +2012,10 @@ mod tests {
         let fs = fleet.stats();
         assert_eq!((fs.frozen, fs.packed), (0, fleet.run_count()));
         assert_eq!(fleet.slot_counters(), before.counters, "counters continue");
-        assert!(
-            reg.resident_bytes() < before.resident_bytes,
-            "{} packed bytes, {} raw",
+        assert_eq!(
             reg.resident_bytes(),
-            before.resident_bytes
+            before.resident_bytes,
+            "packed before the eviction and after it"
         );
         assert_eq!(all_pairs(reg, spec, n), before.answers);
     }
@@ -2031,25 +2049,32 @@ mod tests {
         assert_eq!(stats.lazy_loads, 6);
         assert_eq!(stats.zero_copy_loads, stats.lazy_loads);
 
-        // directory store: `save_dir` writes the raw fleets, and a fault-in
-        // by `register_labels` dirties each one before its `evict`
+        // directory store: `save_dir` writes the packed fleets, and a
+        // fault-in by `register_labels` dirties each one before its `evict`
         let dir = tmp("dirty-eviction-packed");
-        let mut raw = ServiceRegistry::new();
+        let mut saved = ServiceRegistry::new();
         for (kind, &id) in SchemeKind::ALL.into_iter().zip(&ids) {
-            assert_eq!(raw.register_spec(&spec, kind).unwrap(), id);
-            raw.register_labels(id, &labels(&spec, kind)).unwrap();
+            assert_eq!(saved.register_spec(&spec, kind).unwrap(), id);
+            saved.register_labels(id, &labels(&spec, kind)).unwrap();
         }
-        raw.save_dir(&dir).unwrap();
+        saved.save_dir(&dir).unwrap();
         let mut reg = ServiceRegistry::open_dir(&dir, None).unwrap();
-        for (kind, &id) in SchemeKind::ALL.into_iter().zip(&ids) {
-            reg.register_labels(id, &labels(&spec, kind)).unwrap();
-            assert_eq!(reg.fleet(id).unwrap().stats().frozen, 2, "raw on disk");
-            let before = before_eviction(&mut reg, id, n);
-            reg.evict(id).unwrap();
+        let segments = |id: SpecId| {
             let file = std::fs::read(dir.join(id.file_name())).unwrap();
             let parsed = SnapshotReader::parse(&file).unwrap();
-            assert_eq!(parsed.all(seg::RUN_COLUMNS).count(), 0, "no raw run left");
-            assert_eq!(parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(), 2);
+            (
+                parsed.all(seg::RUN_COLUMNS).count(),
+                parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(),
+            )
+        };
+        for (kind, &id) in SchemeKind::ALL.into_iter().zip(&ids) {
+            reg.register_labels(id, &labels(&spec, kind)).unwrap();
+            let fs = reg.fleet(id).unwrap().stats();
+            assert_eq!((fs.frozen, fs.packed), (0, 2));
+            assert_eq!(segments(id), (0, 1), "no raw run on disk");
+            let before = before_eviction(&mut reg, id, n);
+            reg.evict(id).unwrap();
+            assert_eq!(segments(id), (0, 2), "no raw run written");
             assert_packed_reload(&mut reg, id, n, &before);
             // clean now, so this writes nothing; the next spec faults in
             // alone, as `resident_bytes` in both checks assumes
@@ -2058,8 +2083,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A fleet with a live run refuses its eviction before anything is
-    /// sealed: its frozen runs stay raw.
+    /// A fleet with a live run refuses its eviction and stays resident as
+    /// it was: its frozen runs packed since registration, its live run
+    /// live.
     #[test]
     fn refused_eviction_seals_nothing() {
         let spec = paper_spec();
@@ -2078,6 +2104,104 @@ mod tests {
         ));
         assert!(reg.resident(id));
         let fs = reg.fleet(id).unwrap().stats();
-        assert_eq!((fs.frozen, fs.packed, fs.live), (2, 0, 1));
+        assert_eq!((fs.frozen, fs.packed, fs.live), (0, 2, 1));
+    }
+
+    /// Every run a registry registers or freezes is stored packed from the
+    /// start, under every scheme: it answers like a plain fleet fed the
+    /// same runs (which keeps them raw), keeps its decision counters across
+    /// the freeze, holds fewer bytes, persists without a raw segment and
+    /// faults back in zero-copy.
+    #[test]
+    fn registered_and_frozen_runs_are_born_packed() {
+        use crate::construct::construct_plan;
+        use wfp_model::io::{plan_to_events, RunEvent};
+
+        let spec = paper_spec();
+        let paper = paper_run(&spec);
+        let (events, _) = plan_to_events(&paper, &construct_plan(&spec, &paper).unwrap());
+        for kind in SchemeKind::ALL {
+            let l = labels(&spec, kind);
+            let mut reg = ServiceRegistry::new();
+            let mut plain = FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
+            let id = reg.register_spec(&spec, kind).unwrap();
+            for _ in 0..2 {
+                assert_eq!(
+                    reg.register_labels(id, &l).unwrap(),
+                    plain.register_labels(&l)
+                );
+            }
+            let live = reg.begin_live(id, &spec).unwrap();
+            assert_eq!(plain.begin_live(&spec), live);
+            for &event in &events {
+                for run in [
+                    reg.live_mut(id, live).unwrap(),
+                    plain.live_mut(live).unwrap(),
+                ] {
+                    match event {
+                        RunEvent::BeginGroup(sg) => run.begin_group(sg).unwrap(),
+                        RunEvent::BeginCopy => run.begin_copy().unwrap(),
+                        RunEvent::Exec(m) => {
+                            run.exec(m).unwrap();
+                        }
+                        RunEvent::EndCopy => run.end_copy().unwrap(),
+                        RunEvent::EndGroup => run.end_group().unwrap(),
+                    }
+                }
+            }
+            // probe every run once while the third is live, so the freeze
+            // has decision counters to carry
+            let n = paper.vertex_count();
+            let live_answers = all_pairs(&mut reg, id, n);
+            let mut counters = reg.fleet(id).unwrap().slot_counters();
+            let e = reg.live_mut(id, live).unwrap().stats().engine;
+            counters[live.index()] = (e.context_only, e.skeleton);
+            reg.freeze_run(id, live).unwrap();
+            plain.freeze_run(live).unwrap();
+
+            let fleet = reg.fleet(id).unwrap();
+            let fs = fleet.stats();
+            assert_eq!((fs.frozen, fs.packed, fs.live), (0, 3, 0), "{kind}");
+            assert_eq!(reg.stats().packed_runs, 3, "{kind}");
+            assert_eq!(fleet.slot_counters(), counters, "{kind}: counters continue");
+            let ps = plain.stats();
+            assert_eq!(
+                (ps.frozen, ps.packed),
+                (3, 0),
+                "{kind}: the plain fleet stays raw"
+            );
+            assert!(
+                reg.resident_bytes() < ps.spec_bytes + ps.run_bytes,
+                "{kind}: {} packed bytes, {} raw",
+                reg.resident_bytes(),
+                ps.spec_bytes + ps.run_bytes
+            );
+            let probes: Vec<_> = (0..3u32)
+                .flat_map(|r| {
+                    (0..n as u32).flat_map(move |u| (0..n as u32).map(move |v| (r, u, v)))
+                })
+                .map(|(r, u, v)| (RunId(r), RunVertexId(u), RunVertexId(v)))
+                .collect();
+            let want = plain.answer_batch(&probes).unwrap();
+            assert_eq!(live_answers, want, "{kind}: while live");
+            assert_eq!(all_pairs(&mut reg, id, n), want, "{kind}: frozen");
+
+            let dir = tmp(&format!("born-packed-{kind}"));
+            reg.save_dir(&dir).unwrap();
+            let file = std::fs::read(dir.join(id.file_name())).unwrap();
+            let parsed = SnapshotReader::parse(&file).unwrap();
+            assert_eq!(
+                parsed.all(seg::RUN_COLUMNS).count(),
+                0,
+                "{kind}: no raw run"
+            );
+            assert_eq!(parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(), 3, "{kind}");
+            let mut opened = ServiceRegistry::open_dir(&dir, None).unwrap();
+            opened.ensure_resident(id).unwrap();
+            let stats = opened.stats();
+            assert_eq!((stats.lazy_loads, stats.zero_copy_loads), (1, 1), "{kind}");
+            assert_eq!(all_pairs(&mut opened, id, n), want, "{kind}: reopened");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

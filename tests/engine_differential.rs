@@ -356,7 +356,7 @@ proptest! {
 // ======================================================================
 
 /// A small two-run fleet sealed into packed-resident form, plus its saved
-/// snapshot (carrying `PACKED_COLUMNS` segments) and the spec graph.
+/// snapshot (carrying `PACKED_COLUMNS_ALIGNED` segments) and the spec graph.
 fn packed_fleet_snapshot(seed: u64, kind: SchemeKind) -> (Specification, Vec<u8>) {
     let cfg = SpecGenConfig {
         modules: 12,

@@ -5,7 +5,8 @@
 //!
 //! * a raw fleet snapshot and the same fleet after `seal_packed_all`;
 //! * a registry directory's manifest (its entries carry each snapshot's
-//!   size);
+//!   size), and its `<specid>.wfps` files, each byte-identical to the
+//!   packed snapshot of the same fleet;
 //! * an `EncodedLabels::to_bytes` label file;
 //! * a provenance store from `serialize`.
 //!
@@ -53,7 +54,7 @@ const FROZEN: &[(&str, usize, u32)] = &[
     ("generated/4/fleet-packed", 517, 0xB8C35B13),
     ("generated/5/fleet-raw", 2431, 0x6445EE6A),
     ("generated/5/fleet-packed", 845, 0xFABDD10A),
-    ("generated/manifest", 238, 0xDF33BA41),
+    ("generated/manifest", 238, 0x82DFDA01),
 ];
 
 /// Runs every writer over the fixed inputs, in a fixed order.
@@ -91,6 +92,7 @@ fn outputs() -> Vec<(String, Vec<u8>)> {
 
     let generated = generate_registry(SEED, SchemeKind::ALL.len(), 2, 60);
     let mut registry = ServiceRegistry::new();
+    let mut packed_files = Vec::new();
     for (i, (spec, runs)) in generated.specs.iter().zip(&generated.fleets).enumerate() {
         let kind = SchemeKind::ALL[i];
         let id = registry.register_spec(spec, kind).unwrap();
@@ -105,16 +107,21 @@ fn outputs() -> Vec<(String, Vec<u8>)> {
             fleet.save(spec.graph()).unwrap(),
         ));
         fleet.seal_packed_all();
-        out.push((
-            format!("generated/{i}/fleet-packed"),
-            fleet.save(spec.graph()).unwrap(),
-        ));
+        let packed = fleet.save(spec.graph()).unwrap();
+        packed_files.push((id.file_name(), packed.clone()));
+        out.push((format!("generated/{i}/fleet-packed"), packed));
     }
     let dir = std::env::temp_dir()
         .join("wfp-format-freeze")
         .join(std::process::id().to_string());
     let _ = fs::remove_dir_all(&dir);
     registry.save_dir(&dir).unwrap();
+    for (file, packed) in &packed_files {
+        assert!(
+            fs::read(dir.join(file)).unwrap() == *packed,
+            "{file} differs from the packed fleet snapshot"
+        );
+    }
     out.push((
         "generated/manifest".to_string(),
         fs::read(dir.join(MANIFEST_FILE)).unwrap(),
