@@ -24,7 +24,7 @@ usage:
   wfp ingest   <spec.xml> <events.log> [--scheme KIND] [--probe FILE]
   wfp fleet    <spec.xml> [run.xml...] [--runs K] [--target VERTICES]
                [--seed S] [--probes M] [--threads N] [--scheme KIND]
-               [--packed] [--save DIR] [--load DIR]
+               [--save DIR] [--load DIR]
   wfp registry [spec.xml...] [--gen-specs N] [--runs K] [--target VERTICES]
                [--seed S] [--probes M] [--budget BYTES] [--save DIR]
                [--load DIR]
@@ -41,11 +41,10 @@ ingest replays a line-based event log through the live (query-while-running)
 engine; --probe FILE schedules \"EVENT# FROM TO\" queries answered mid-stream,
 then re-checked against the frozen labels when the run completes.
 fleet loads the given runs and/or generates --runs more, registers them all
-under one shared skeleton context, answers --probes mixed cross-run queries
-(default 1000000) and reports the shared-vs-duplicated memory accounting.
---packed seals every frozen run into bit-packed label columns before serving
-(identical answers, smaller memory and snapshots). --save DIR persists the
-serving fleet (spec record + warm memo + per-run label columns) to
+under one shared skeleton context (each run's label columns bit-packed),
+answers --probes mixed cross-run queries (default 1000000) and reports the
+shared-vs-duplicated memory accounting. --save DIR persists the serving
+fleet (spec record + warm memo + per-run packed label columns) to
 DIR/fleet.wfps; --load DIR restores it warm, with no re-labeling (drop
 run.xml/--runs when loading).
 registry serves many specs at once, each by its own fleet behind one
@@ -66,15 +65,34 @@ fan out by spec and reassemble in submission order); --budget splits
 evenly across the shards. MIX is uniform (default) or zipf:SKEW, which skews the spec
 mix onto a hot head shard. The report shows sustained throughput, the
 batch-size histogram, per-shard load and per-scheme p50/p99 serve
-latency.";
+latency.
+A flag the command does not take is an error.";
 
 struct Args {
     positional: Vec<String>,
     flags: std::collections::HashMap<String, String>,
 }
 
-/// Flags that take no value: present means on.
-const BOOL_FLAGS: &[&str] = &["packed"];
+/// The flags `command` takes, space-separated, or `None` for an unknown
+/// command. Every flag takes a value.
+fn accepted_flags(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "validate" | "inspect" | "plan" | "--help" | "-h" | "help" => "",
+        "gen-spec" => "n m k d seed o",
+        "gen-run" => "target seed o",
+        "gen-events" => "target seed o probes probe-out",
+        "ingest" => "scheme probe",
+        "label" => "scheme o",
+        "query" => "scheme pairs threads",
+        "fleet" => "runs target seed probes threads scheme save load",
+        "registry" => "gen-specs runs target seed probes budget save load",
+        "serve" => {
+            "gen-specs runs target seed probes clients arrival budget load batch window \
+             queue threads shards mix"
+        }
+        _ => return None,
+    })
+}
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
@@ -82,10 +100,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
-                flags.insert(name.to_string(), "true".to_string());
-                continue;
-            }
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
             flags.insert(name.to_string(), value.clone());
         } else if let Some(name) = a.strip_prefix('-') {
@@ -139,6 +153,15 @@ fn run() -> Result<String, CliError> {
         return Err(USAGE.into());
     };
     let args = parse_args(&argv[1..])?;
+    let Some(accepted) = accepted_flags(&command) else {
+        return Err(format!("unknown command {command:?}\n\n{USAGE}").into());
+    };
+    // checked before any work, so a mistyped flag changes nothing
+    let takes = |name: &str| accepted.split_whitespace().any(|flag| flag == name);
+    if let Some(name) = args.flags.keys().filter(|name| !takes(name)).min() {
+        let dashes = if name.len() == 1 { "-" } else { "--" };
+        return Err(format!("unknown flag {dashes}{name} for wfp {command}").into());
+    }
     match command.as_str() {
         "validate" => cmd_validate(&args.path(0)?),
         "inspect" => cmd_inspect(&args.path(0)?),
@@ -240,7 +263,6 @@ fn run() -> Result<String, CliError> {
                     probes: args.num("probes")?.unwrap_or(1_000_000),
                     scheme: args.scheme()?,
                     threads: args.num("threads")?.unwrap_or(1),
-                    packed: args.flags.contains_key("packed"),
                     save: save.as_deref(),
                     load: load.as_deref(),
                 },
@@ -307,7 +329,7 @@ fn run() -> Result<String, CliError> {
             })
         }
         "--help" | "-h" | "help" => Ok(USAGE.to_string()),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+        _ => unreachable!("accepted_flags knows every command"),
     }
 }
 

@@ -595,7 +595,7 @@ fn fmt_bytes(b: usize) -> String {
 
 /// The file `wfp fleet --save DIR` writes (and `--load DIR` reads): one
 /// snapshot container holding the spec record, the warm memo and every
-/// frozen run's label columns.
+/// frozen run's bit-packed label columns.
 pub const FLEET_SNAPSHOT_FILE: &str = "fleet.wfps";
 
 /// Options for [`cmd_fleet`] beyond the specification path.
@@ -615,10 +615,6 @@ pub struct FleetOpts<'a> {
     pub scheme: SchemeKind,
     /// Worker threads for the probe batch.
     pub threads: usize,
-    /// Seal every frozen run into bit-packed label columns before
-    /// serving (`--packed`): smaller resident footprint and snapshot,
-    /// identical answers.
-    pub packed: bool,
     /// Persist the serving fleet to `DIR/fleet.wfps` after answering.
     pub save: Option<&'a Path>,
     /// Restore the fleet from `DIR/fleet.wfps` instead of labeling runs.
@@ -626,27 +622,24 @@ pub struct FleetOpts<'a> {
 }
 
 /// `wfp fleet <spec.xml> [run.xml...] [--runs K] [--target N] [--seed S]
-///  [--probes M] [--scheme KIND] [--threads T] [--packed] [--save DIR]
-///  [--load DIR]`
+///  [--probes M] [--scheme KIND] [--threads T] [--save DIR] [--load DIR]`
 ///
 /// The multi-run serving scenario the paper's amortization argument is
 /// about: load the given runs and/or generate `K` more (all conforming to
 /// one specification), register them all under **one** shared skeleton
-/// context in a [`FleetEngine`], answer `M` mixed cross-run probes, and
-/// report throughput plus the shared-vs-duplicated memory accounting —
-/// what the fleet holds once versus what `K` independent engines would
-/// hold. With `--save DIR` the serving fleet (spec record + warm memo +
-/// per-run label columns) is persisted as one snapshot container; with
-/// `--load DIR` it is restored **without re-labeling a single run** and
-/// with the memo warm from the saved process's traffic. `--packed` seals
-/// every frozen run into bit-packed label columns before serving —
-/// identical answers from a smaller resident footprint, and the snapshot
-/// stores the compressed segments.
+/// context in a [`FleetEngine`], which stores each run's label columns
+/// bit-packed, answer `M` mixed cross-run probes, and report throughput
+/// plus the shared-vs-duplicated memory accounting — what the fleet holds
+/// once versus what `K` independent engines would hold. With `--save DIR`
+/// the serving fleet (spec record + warm memo + per-run packed label
+/// columns) is persisted as one snapshot container; with `--load DIR` it
+/// is restored **without re-labeling a single run** and with the memo
+/// warm from the saved process's traffic.
 pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliError> {
     let spec = load_spec(spec_path)?;
     let mut out = String::new();
 
-    let mut fleet: FleetEngine<'_, SpecScheme> = if let Some(dir) = opts.load {
+    let fleet: FleetEngine<'_, SpecScheme> = if let Some(dir) = opts.load {
         if !opts.run_paths.is_empty() || opts.gen_runs > 0 {
             return Err(
                 "--load restores a saved fleet; drop the run.xml arguments and --runs".into(),
@@ -674,7 +667,7 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
             "restored fleet from {} in {load_ms:.1} ms: {} runs ({} evicted), \
              scheme {}, {} warm memo cells (no re-labeling)",
             path.display(),
-            stats.frozen + stats.packed,
+            stats.packed,
             stats.evicted,
             fleet.context().skeleton().kind(),
             fleet.context().memo().warm_entries(),
@@ -719,19 +712,6 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
         writeln!(out, "labeled in {label_ms:.1} ms (no per-run skeletons built)")?;
         fleet
     };
-
-    if opts.packed {
-        let before = fleet.stats().run_bytes;
-        let sealed = fleet.seal_packed_all();
-        let after = fleet.stats().run_bytes;
-        writeln!(
-            out,
-            "packed: sealed {sealed} runs into bit-packed columns \
-             (run columns {} → {})",
-            fmt_bytes(before),
-            fmt_bytes(after),
-        )?;
-    }
 
     // mixed probe traffic: uniformly random (run, u, v) triples over the
     // active runs that executed at least one module (a loaded run XML may
@@ -807,7 +787,7 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
             "\nsaved fleet snapshot to {} ({}: 1 spec record + warm memo + {} run segments)",
             path.display(),
             fmt_bytes(bytes.len()),
-            stats.frozen + stats.packed,
+            stats.packed,
         )?;
     }
     Ok(out)
@@ -1657,7 +1637,6 @@ mod tests {
             probes,
             scheme: SchemeKind::Bfs,
             threads: 1,
-            packed: false,
             save: None,
             load: None,
         }
@@ -1738,39 +1717,22 @@ mod tests {
 
     #[test]
     fn fleet_packed_serves_and_round_trips_smaller_snapshots() {
+        use wfp_skl::snapshot::{seg, SnapshotReader};
         let (sp, rp) = write_paper_files();
         let paths = [rp.as_path()];
 
-        // raw baseline snapshot of the identical fleet + traffic
-        let raw_dir = tmp("fleet-raw-snap");
-        let raw_opts = FleetOpts {
-            save: Some(&raw_dir),
-            ..fleet_opts(&paths, 3, 2_000)
-        };
-        let raw_out = cmd_fleet(&sp, &raw_opts).unwrap();
-        let raw_len = fs::metadata(raw_dir.join(FLEET_SNAPSHOT_FILE)).unwrap().len();
-
         let dir = tmp("fleet-packed-snap");
         let packed_opts = FleetOpts {
-            packed: true,
             save: Some(&dir),
             ..fleet_opts(&paths, 3, 2_000)
         };
-        let out = cmd_fleet(&sp, &packed_opts).unwrap();
-        assert!(out.contains("sealed 4 runs"), "{out}");
-        assert!(out.contains("4 run segments"), "{out}");
-        // identical traffic, identical decision counts as the raw fleet
-        // (compare up to the memo/timing half, which varies run to run)
-        let count_line = |s: &str| {
-            let l = s.lines().find(|l| l.contains("2000 probes")).unwrap();
-            l.split(" (").next().unwrap().to_string()
-        };
-        assert_eq!(count_line(&out), count_line(&raw_out));
-        let packed_len = fs::metadata(dir.join(FLEET_SNAPSHOT_FILE)).unwrap().len();
-        assert!(
-            packed_len < raw_len,
-            "packed snapshot {packed_len} B must undercut raw {raw_len} B"
-        );
+        let saved = cmd_fleet(&sp, &packed_opts).unwrap();
+        assert!(saved.contains("4 run segments"), "{saved}");
+        // every run is saved bit-packed: four packed segments, no raw one
+        let bytes = fs::read(dir.join(FLEET_SNAPSHOT_FILE)).unwrap();
+        let r = SnapshotReader::parse(&bytes).unwrap();
+        assert_eq!(r.all(seg::PACKED_COLUMNS_ALIGNED).count(), 4);
+        assert_eq!(r.all(0x0003).count(), 0, "a raw run segment");
 
         // restore: runs come back packed, memo warm, no re-labeling
         let load_opts = FleetOpts {
@@ -1783,8 +1745,11 @@ mod tests {
         assert!(out.contains("(0 probes,"), "{out}");
         // decision counters are cumulative (the snapshot carries them), so
         // only the answers themselves are comparable after the reload
-        let reachable = |s: &str| count_line(s).split(';').next().unwrap().to_string();
-        assert_eq!(reachable(&out), reachable(&raw_out));
+        let reachable = |s: &str| {
+            let l = s.lines().find(|l| l.contains("2000 probes")).unwrap();
+            l.split(';').next().unwrap().to_string()
+        };
+        assert_eq!(reachable(&out), reachable(&saved));
     }
 
     #[test]

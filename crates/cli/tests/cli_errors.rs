@@ -252,6 +252,59 @@ fn fleet_save_load_round_trip_exits_zero() {
     assert!(stdout.contains("no re-labeling"), "{stdout}");
 }
 
+// ---------------- flags a command does not take ----------------------
+
+/// Runs `args`, which carry `flag` that their command does not take: the
+/// command must exit 1 before any work, name the flag, and print nothing
+/// on stdout.
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let out = wfp(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("unknown flag {flag} for wfp {}", args[0]);
+    assert!(
+        stderr.contains(&want),
+        "{args:?}: stderr {stderr:?} must say {want:?}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} did work before failing");
+}
+
+#[test]
+fn fleet_rejects_the_retired_packed_flag_and_saves_nothing() {
+    let (sp, _) = paper_files();
+    let dir = tmp("packed-snap");
+    let _ = fs::remove_dir_all(&dir);
+    let sp = sp.to_str().unwrap();
+    let save = dir.to_str().unwrap();
+    assert_unknown_flag(
+        &[
+            "fleet", sp, "--runs", "2", "--target", "40", "--packed", "--save", save,
+        ],
+        "--packed",
+    );
+    assert!(!dir.exists(), "a rejected command wrote {save}");
+}
+
+#[test]
+fn registry_rejects_a_mistyped_flag() {
+    assert_unknown_flag(
+        &[
+            "registry",
+            "--gen-specs",
+            "2",
+            "--runs",
+            "1",
+            "--target",
+            "50",
+            "--probes",
+            "10",
+            "--budgte",
+            "1K",
+        ],
+        "--budgte",
+    );
+}
+
 // ---------------- wfp registry ----------------------------------------
 
 #[test]

@@ -16,8 +16,8 @@
 //!   executed vertex, no skeleton, no memo.
 //! * [`crate::engine::QueryEngine`] is a thin view over one
 //!   `(Arc<SpecContext>, RunHandle)` pair; [`crate::fleet::FleetEngine`]
-//!   serves many `RunHandle`s (and in-flight [`crate::live::LiveRun`]s)
-//!   over one context.
+//!   serves many runs, packed as [`PackedRunHandle`]s (and in-flight
+//!   [`crate::live::LiveRun`]s), over one context.
 //!
 //! [`SharedMemo`] replaces the former `&mut`-access dense memo with a
 //! two-tier interior-mutable design:
@@ -398,7 +398,8 @@ impl<S: SpecIndex> SpecIndex for SpecContext<S> {
 /// The per-run half of the spec/run split: the struct-of-arrays label
 /// columns of one labeled run, and nothing else. ~16 bytes per vertex;
 /// pair it with an `Arc<SpecContext>` to query (via
-/// [`crate::engine::QueryEngine`] or [`crate::fleet::FleetEngine`]).
+/// [`crate::engine::QueryEngine`]), or pack it ([`PackedRunHandle::pack`])
+/// as a [`crate::fleet::FleetEngine`] does.
 pub struct RunHandle {
     cols: SoaLabels,
     /// decision counters, shaped like [`crate::engine::EngineStats`]'s
@@ -469,12 +470,12 @@ impl std::fmt::Debug for RunHandle {
 }
 
 /// A [`RunHandle`] whose label columns stay bit-packed
-/// ([`PackedColumnsView`]): the packed-resident form a fleet serves when a
-/// run is sealed cold ([`crate::fleet::FleetEngine::seal_packed`]) or
-/// loaded from a packed snapshot. A sealed run owns its packed buffer; a
-/// loaded one shares the snapshot's load buffer. Queries decode inside the
-/// sweep kernel's gather — answers and counters are byte-identical to the
-/// raw handle, at a fraction of the footprint.
+/// ([`PackedColumnsView`]): the one form in which a
+/// [`crate::fleet::FleetEngine`] holds a frozen run, packed when the fleet
+/// registers or freezes it, or bound when it loads a snapshot. A packed
+/// run owns its buffer; a loaded one shares the snapshot's load buffer.
+/// Queries decode inside the sweep kernel's gather — answers and counters
+/// are byte-identical to the raw handle, at a fraction of the footprint.
 pub struct PackedRunHandle {
     cols: PackedColumnsView,
     context_only: AtomicU64,
@@ -483,7 +484,7 @@ pub struct PackedRunHandle {
 
 impl PackedRunHandle {
     /// Packs a raw run handle, carrying its decision counters over so
-    /// fleet statistics stay continuous across a seal.
+    /// fleet statistics stay continuous across a freeze.
     pub fn pack(handle: &RunHandle) -> Self {
         let view = PackedColumnsView::pack(handle.columns());
         let packed = Self::from_store(PackedStore::View(view));
@@ -500,14 +501,6 @@ impl PackedRunHandle {
             context_only: AtomicU64::new(0),
             skeleton_queries: AtomicU64::new(0),
         }
-    }
-
-    /// Decodes back to a raw run handle, counters included — the inverse
-    /// of [`pack`](Self::pack), byte-identical columns guaranteed.
-    pub fn unpack(&self) -> RunHandle {
-        let handle = RunHandle::from_columns(self.cols.unpack());
-        handle.count(self.context_only(), self.skeleton_queries());
-        handle
     }
 
     /// Number of labeled vertices.

@@ -153,8 +153,7 @@ impl SoaLabels {
     }
 
     /// The four raw columns `(q1, q2, q3, origin)` — the zero-copy view
-    /// the snapshot layer ([`crate::snapshot::write_run_columns`]) writes
-    /// to disk.
+    /// the packed encoder ([`crate::PackedColumnsView`]) reads.
     pub fn raw_columns(&self) -> (&[u32], &[u32], &[u32], &[u32]) {
         (&self.q1, &self.q2, &self.q3, &self.origin)
     }

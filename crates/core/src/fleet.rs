@@ -8,9 +8,11 @@
 //! registry that serves it:
 //!
 //! * it holds a single `Arc`-shared [`SpecContext`] (skeleton index +
-//!   concurrent skeleton memo) and any number of **frozen** runs (slim
-//!   [`RunHandle`] label columns, ~16 bytes/vertex) and **in-flight**
-//!   [`LiveRun`]s — all registered under [`RunId`]s;
+//!   concurrent skeleton memo) and any number of **frozen** runs and
+//!   **in-flight** [`LiveRun`]s — all registered under [`RunId`]s. A
+//!   frozen run has one form: its label columns bit-packed as a
+//!   [`PackedRunHandle`] (a few bytes per vertex), packed when it is
+//!   registered or frozen and saved as those same bytes;
 //! * it answers `(run, u, v)` probes scalar or batched; a batch may mix
 //!   runs freely — traffic is sharded **by run** internally (each run's
 //!   probes stream through the SoA kernel together) and results come back
@@ -42,7 +44,7 @@
 //!     .answer_batch(&[(a, c3, c3), (b, b1, c3)])
 //!     .unwrap();
 //! assert_eq!(answers, vec![true, false]);
-//! assert_eq!(fleet.stats().frozen, 2);
+//! assert_eq!(fleet.stats().packed, 2);
 //! ```
 
 use std::sync::{Arc, Mutex};
@@ -54,7 +56,7 @@ use wfp_speclabel::SpecScheme;
 
 use crate::context::{PackedRunHandle, RunHandle, SpecContext};
 use crate::engine::{answer_into, sweep_into_slice, EngineStats};
-use crate::label::{LabeledRun, RunLabel};
+use crate::label::RunLabel;
 use crate::live::LiveRun;
 use crate::online::OnlineError;
 use crate::packed::{PackedColumnsView, PackedStore};
@@ -111,9 +113,9 @@ pub enum FleetError {
     },
     /// Freezing an in-flight run failed (the event stream is incomplete).
     FreezeFailed(RunId, OnlineError),
-    /// A snapshot or a packed seal was requested while this run is still
-    /// in-flight: live order-maintenance state is neither persistable nor
-    /// packable — freeze (or evict) the run first.
+    /// A snapshot was requested while this run is still in-flight: live
+    /// order-maintenance state is not persistable — freeze (or evict) the
+    /// run first.
     StillLive(RunId),
 }
 
@@ -136,7 +138,7 @@ impl std::fmt::Display for FleetError {
             FleetError::StillLive(r) => {
                 write!(
                     f,
-                    "cannot snapshot or seal {r}: it is still in-flight (freeze it first)"
+                    "cannot snapshot {r}: it is still in-flight (freeze it first)"
                 )
             }
         }
@@ -154,11 +156,8 @@ impl std::error::Error for FleetError {
 
 /// One registry slot.
 enum Slot<'s, S> {
-    Frozen(RunHandle),
-    /// A frozen run sealed into bit-packed columns
-    /// ([`FleetEngine::seal_packed`]): still serving, at a fraction of the
-    /// resident footprint — the tier between "raw frozen" and "evicted".
-    FrozenPacked(PackedRunHandle),
+    /// A frozen run, its columns bit-packed.
+    Frozen(PackedRunHandle),
     Live(Box<LiveRun<'s, S>>),
     Evicted,
 }
@@ -168,7 +167,6 @@ impl<S: SpecIndex> Slot<'_, S> {
     fn vertex_count(&self) -> usize {
         match self {
             Slot::Frozen(h) => h.vertex_count(),
-            Slot::FrozenPacked(h) => h.vertex_count(),
             Slot::Live(l) => l.vertex_count(),
             Slot::Evicted => 0,
         }
@@ -179,10 +177,11 @@ impl<S: SpecIndex> Slot<'_, S> {
 /// one fleet. See [`FleetEngine::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
-    /// Frozen runs currently registered with raw (full-width) columns.
+    /// Always 0: every frozen run is stored packed and counted in
+    /// [`packed`](Self::packed). It stays for callers that read it.
     pub frozen: usize,
-    /// Frozen runs currently serving in bit-packed form
-    /// ([`FleetEngine::seal_packed`]).
+    /// Frozen runs currently registered, each stored bit-packed
+    /// ([`PackedRunHandle`]).
     pub packed: usize,
     /// In-flight live runs currently registered.
     pub live: usize,
@@ -199,8 +198,8 @@ pub struct FleetStats {
     pub spec_bytes_if_per_run: usize,
     /// Bytes of per-run label columns across all active runs.
     pub run_bytes: usize,
-    /// Packed runs served out of a [`crate::PackedColumnsView`]. Every
-    /// packed run is one, so this always equals [`packed`](Self::packed);
+    /// Frozen runs served out of a [`crate::PackedColumnsView`]. Every
+    /// frozen run is one, so this always equals [`packed`](Self::packed);
     /// it stays for callers that read it.
     pub zero_copy: usize,
     /// Decision counters summed over all runs; memo counters are the
@@ -209,9 +208,9 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Active (non-evicted) runs, raw, packed, or live.
+    /// Active (non-evicted) runs, frozen or live.
     pub fn active(&self) -> usize {
-        self.frozen + self.packed + self.live
+        self.packed + self.live
     }
 
     /// Bytes saved by sharing the spec-level state instead of duplicating
@@ -261,24 +260,12 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         id
     }
 
-    /// Registers a frozen run.
-    pub fn register(&mut self, run: RunHandle) -> RunId {
-        self.push(Slot::Frozen(run))
-    }
-
-    /// Registers a frozen run from raw labels.
+    /// Registers a frozen run from its offline labels, stored bit-packed
+    /// ([`PackedRunHandle::pack`]): it serves, saves and reloads in that
+    /// one form.
     pub fn register_labels(&mut self, labels: &[RunLabel]) -> RunId {
-        self.register(RunHandle::from_labels(labels))
-    }
-
-    /// Registers a frozen run from a [`LabeledRun`], **discarding** its
-    /// privately-owned skeleton in favor of the fleet's shared context —
-    /// the migration path for callers coming from the one-engine-per-run
-    /// world. The labels must have been built against the same
-    /// specification (answers delegate to this fleet's skeleton).
-    pub fn register_labeled(&mut self, labeled: LabeledRun<S>) -> RunId {
-        let (labels, _duplicate_skeleton) = labeled.into_parts();
-        self.register_labels(&labels)
+        let run = PackedRunHandle::pack(&RunHandle::from_labels(labels));
+        self.push(Slot::Frozen(run))
     }
 
     /// Registers an in-flight run. The live run must have been created
@@ -313,23 +300,22 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         match self.slots.get_mut(run.index()) {
             None => Err(FleetError::UnknownRun(run)),
             Some(Slot::Evicted) => Err(FleetError::Evicted(run)),
-            Some(Slot::Frozen(_) | Slot::FrozenPacked(_)) => Err(FleetError::NotLive(run)),
+            Some(Slot::Frozen(_)) => Err(FleetError::NotLive(run)),
             Some(Slot::Live(live)) => Ok(live),
         }
     }
 
     /// Freezes an in-flight run in place: the exact offline labels replace
-    /// the tag columns (zero re-labeling, [`LiveRun::freeze_handle`]), the
-    /// run id stays valid, and the shared context is untouched. Fails if
-    /// the event stream is structurally incomplete — the run then remains
-    /// registered and live.
+    /// the tag columns (zero re-labeling, [`LiveRun::freeze_handle`]) and
+    /// are packed as [`register_labels`](Self::register_labels) packs, the
+    /// decision counters carried over. The run id stays valid and the
+    /// shared context is untouched. Fails if the event stream is
+    /// structurally incomplete — the run then remains registered and live.
     pub fn freeze_run(&mut self, run: RunId) -> Result<(), FleetError> {
         let slot = match self.slots.get_mut(run.index()) {
             None => return Err(FleetError::UnknownRun(run)),
             Some(Slot::Evicted) => return Err(FleetError::Evicted(run)),
-            Some(Slot::Frozen(_) | Slot::FrozenPacked(_)) => {
-                return Err(FleetError::NotLive(run))
-            }
+            Some(Slot::Frozen(_)) => return Err(FleetError::NotLive(run)),
             Some(slot) => slot,
         };
         if let Slot::Live(live) = &*slot {
@@ -348,49 +334,8 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
             .freeze_handle()
             .expect("completeness checked just above");
         handle.count(decisions.context_only, decisions.skeleton);
-        *slot = Slot::Frozen(handle);
+        *slot = Slot::Frozen(PackedRunHandle::pack(&handle));
         Ok(())
-    }
-
-    /// Seals a frozen run's columns into their bit-packed form
-    /// ([`PackedRunHandle`]): the run keeps serving — the sweep kernel
-    /// decodes inside its gather, answers stay byte-identical, decision
-    /// counters carry over — at a fraction of the resident footprint. The
-    /// tier between "raw frozen" and "evicted" for cold or
-    /// memory-pressured fleets. Idempotent on already-packed runs; an
-    /// in-flight run must be frozen first ([`FleetError::StillLive`]).
-    pub fn seal_packed(&mut self, run: RunId) -> Result<(), FleetError> {
-        let slot = match self.slots.get_mut(run.index()) {
-            None => return Err(FleetError::UnknownRun(run)),
-            Some(Slot::Evicted) => return Err(FleetError::Evicted(run)),
-            Some(Slot::Live(_)) => return Err(FleetError::StillLive(run)),
-            Some(Slot::FrozenPacked(_)) => return Ok(()),
-            Some(slot) => slot,
-        };
-        let handle = match std::mem::replace(slot, Slot::Evicted) {
-            Slot::Frozen(h) => h,
-            _ => unreachable!("matched Frozen above"),
-        };
-        *slot = Slot::FrozenPacked(PackedRunHandle::pack(&handle));
-        Ok(())
-    }
-
-    /// [`seal_packed`](Self::seal_packed) for every raw frozen run,
-    /// returning how many were sealed (live runs and tombstones are left
-    /// alone).
-    pub fn seal_packed_all(&mut self) -> usize {
-        let mut sealed = 0;
-        for slot in &mut self.slots {
-            if matches!(slot, Slot::Frozen(_)) {
-                let handle = match std::mem::replace(slot, Slot::Evicted) {
-                    Slot::Frozen(h) => h,
-                    _ => unreachable!("matched Frozen above"),
-                };
-                *slot = Slot::FrozenPacked(PackedRunHandle::pack(&handle));
-                sealed += 1;
-            }
-        }
-        sealed
     }
 
     /// Evicts a run, releasing its label columns. The id stays tombstoned:
@@ -462,14 +407,6 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
     pub fn answer(&self, run: RunId, u: RunVertexId, v: RunVertexId) -> Result<bool, FleetError> {
         Ok(match self.probe_slot(run, u, v)? {
             Slot::Frozen(h) => {
-                let (ans, path) = crate::engine::answer_one(h.columns(), &self.ctx, u, v);
-                match path {
-                    crate::label::QueryPath::ContextOnly => h.count(1, 0),
-                    crate::label::QueryPath::Skeleton => h.count(0, 1),
-                }
-                ans
-            }
-            Slot::FrozenPacked(h) => {
                 let (ans, path) = crate::packed::answer_one_packed(h.columns(), &self.ctx, u, v);
                 match path {
                     crate::label::QueryPath::ContextOnly => h.count(1, 0),
@@ -520,16 +457,6 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
             buf.clear();
             match &self.slots[slot_idx] {
                 Slot::Frozen(h) => {
-                    let (c, s) = answer_into(
-                        h.columns(),
-                        self.ctx.skeleton(),
-                        self.ctx.probe_memo(),
-                        &pairs,
-                        &mut buf,
-                    );
-                    h.count(c, s);
-                }
-                Slot::FrozenPacked(h) => {
                     buf.resize(pairs.len(), false);
                     let (c, s) = sweep_into_slice(
                         h.columns(),
@@ -575,25 +502,21 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
     {
         const MAX_SHARDS: usize = 64;
         let groups = self.group(probes)?;
-        // Workers only ever touch frozen runs (a live run's column store is
-        // deliberately single-threaded), so partition into plain handle
-        // references — raw or packed — and the worker closures never see
-        // the registry itself.
-        #[derive(Clone, Copy)]
-        enum FrozenRef<'a> {
-            Raw(&'a RunHandle),
-            Packed(&'a PackedRunHandle),
-        }
         // One work unit: a frozen run, its slice of the flattened pair
         // buffer, and its disjoint window of the answer buffer.
-        type WorkUnit<'a, 'b> =
-            (FrozenRef<'a>, &'b [(RunVertexId, RunVertexId)], &'b mut [bool]);
-        let mut frozen_groups: Vec<(FrozenRef<'_>, Vec<usize>)> = Vec::new();
+        type WorkUnit<'a, 'b> = (
+            &'a PackedRunHandle,
+            &'b [(RunVertexId, RunVertexId)],
+            &'b mut [bool],
+        );
+        // Workers only ever touch frozen runs (a live run's column store is
+        // deliberately single-threaded), so partition into plain handle
+        // references and the worker closures never see the registry itself.
+        let mut frozen_groups: Vec<(&PackedRunHandle, Vec<usize>)> = Vec::new();
         let mut live_groups: Vec<(usize, Vec<usize>)> = Vec::new();
         for (slot_idx, idxs) in groups {
             match &self.slots[slot_idx] {
-                Slot::Frozen(h) => frozen_groups.push((FrozenRef::Raw(h), idxs)),
-                Slot::FrozenPacked(h) => frozen_groups.push((FrozenRef::Packed(h), idxs)),
+                Slot::Frozen(h) => frozen_groups.push((h, idxs)),
                 Slot::Live(_) => live_groups.push((slot_idx, idxs)),
                 Slot::Evicted => unreachable!("group() filtered"),
             }
@@ -602,7 +525,7 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         // (skewed traffic, or a single-run fleet) still fans out across
         // workers instead of degrading to one work unit per run.
         const UNIT: usize = 1 << 15;
-        let units: Vec<(FrozenRef<'_>, &[usize])> = frozen_groups
+        let units: Vec<(&PackedRunHandle, &[usize])> = frozen_groups
             .iter()
             .flat_map(|&(handle, ref idxs)| idxs.chunks(UNIT).map(move |c| (handle, c)))
             .collect();
@@ -648,28 +571,9 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
                         let Some((handle, unit_pairs, window)) = claimed else {
                             break;
                         };
-                        match handle {
-                            FrozenRef::Raw(h) => {
-                                let (c, s) = sweep_into_slice(
-                                    h.columns(),
-                                    skeleton,
-                                    memo,
-                                    unit_pairs,
-                                    window,
-                                );
-                                h.count(c, s);
-                            }
-                            FrozenRef::Packed(h) => {
-                                let (c, s) = sweep_into_slice(
-                                    h.columns(),
-                                    skeleton,
-                                    memo,
-                                    unit_pairs,
-                                    window,
-                                );
-                                h.count(c, s);
-                            }
-                        }
+                        let (c, s) =
+                            sweep_into_slice(handle.columns(), skeleton, memo, unit_pairs, window);
+                        handle.count(c, s);
                     });
                 }
 
@@ -718,12 +622,6 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         for slot in &self.slots {
             match slot {
                 Slot::Frozen(h) => {
-                    stats.frozen += 1;
-                    stats.run_bytes += h.memory_bytes();
-                    stats.engine.context_only += h.context_only();
-                    stats.engine.skeleton += h.skeleton_queries();
-                }
-                Slot::FrozenPacked(h) => {
                     stats.packed += 1;
                     stats.zero_copy += 1;
                     stats.run_bytes += h.memory_bytes();
@@ -752,28 +650,26 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
 // Persistence (the unified snapshot layer, [`crate::snapshot`])
 // ====================================================================
 
-/// Slot states in the fleet-manifest segment. State 2 is reserved: it
-/// named a retired unaligned packed layout, so reusing it would misread
-/// old files. Readers reject it as an unknown slot state.
+/// Slot states in the fleet-manifest segment. States 1 and 2 are
+/// reserved: they named the retired raw layout (segment kind `0x0003`)
+/// and a retired unaligned packed layout (kind `0x0009`), so reusing
+/// either would misread old files. Readers reject both as an unknown slot
+/// state.
 const SLOT_EVICTED: u8 = 0;
-/// A frozen run stored as a raw [`snapshot::seg::RUN_COLUMNS`] segment.
-const SLOT_FROZEN: u8 = 1;
 /// A frozen run stored as a bit-packed
 /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment, served on load by a
 /// [`crate::PackedColumnsView`] over the load buffer.
-const SLOT_FROZEN_PACKED_ALIGNED: u8 = 3;
+const SLOT_FROZEN: u8 = 3;
 
 /// How a fleet's runs came back from a snapshot: how many bound
-/// **zero-copy** to the shared load buffer versus being **decoded** into
-/// owned columns, and the total snapshot bytes behind the load. Returned
-/// by [`FleetEngine::load_shared`] so the registry can attribute reload
-/// cost ([`crate::RegistryStats`]).
+/// **zero-copy** to the shared load buffer (every frozen run does), and
+/// the total snapshot bytes behind the load. Returned by
+/// [`FleetEngine::load_shared`] so the registry can attribute reload cost
+/// ([`crate::RegistryStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetLoadProfile {
     /// Packed runs bound as views over the load buffer.
     pub zero_copy_runs: usize,
-    /// Raw runs decoded into owned columns.
-    pub decoded_runs: usize,
     /// Total snapshot bytes the load was served from.
     pub bytes: usize,
 }
@@ -782,9 +678,11 @@ impl<'s> FleetEngine<'s, SpecScheme> {
     /// Appends this fleet's segments to a container: the spec record
     /// (scheme kind + graph + warm-memo bytes, via
     /// [`snapshot::write_spec_context`]), a manifest of slot states and
-    /// per-run decision counters, and one [`snapshot::seg::RUN_COLUMNS`]
-    /// segment per frozen run. Evicted slots persist as tombstones so a
-    /// restored fleet rejects stale [`RunId`]s exactly like the original.
+    /// per-run decision counters, and one
+    /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment per frozen run,
+    /// each run's packed payload written verbatim. Evicted slots persist as
+    /// tombstones so a restored fleet rejects stale [`RunId`]s exactly like
+    /// the original.
     ///
     /// Fails with [`FleetError::StillLive`] if any run is in-flight —
     /// live order-maintenance state is deliberately not persistable.
@@ -810,28 +708,18 @@ impl<'s> FleetEngine<'s, SpecScheme> {
                     snapshot::put_varint(&mut manifest, h.context_only());
                     snapshot::put_varint(&mut manifest, h.skeleton_queries());
                 }
-                Slot::FrozenPacked(h) => {
-                    manifest.push(SLOT_FROZEN_PACKED_ALIGNED);
-                    snapshot::put_varint(&mut manifest, h.context_only());
-                    snapshot::put_varint(&mut manifest, h.skeleton_queries());
-                }
                 Slot::Evicted => manifest.push(SLOT_EVICTED),
                 Slot::Live(_) => unreachable!("rejected above"),
             }
         }
         w.push(snapshot::seg::FLEET_MANIFEST, manifest);
         for slot in &self.slots {
-            match slot {
-                Slot::Frozen(h) => w.push(
-                    snapshot::seg::RUN_COLUMNS,
-                    snapshot::write_run_columns(h.columns()),
-                ),
-                // the view hands its payload back verbatim (no encode)
-                Slot::FrozenPacked(h) => w.push(
+            // the view hands its payload back verbatim (no encode)
+            if let Slot::Frozen(h) = slot {
+                w.push(
                     snapshot::seg::PACKED_COLUMNS_ALIGNED,
                     h.columns().payload_bytes().to_vec(),
-                ),
-                _ => {}
+                );
             }
         }
         Ok(())
@@ -851,12 +739,11 @@ impl<'s> FleetEngine<'s, SpecScheme> {
     /// memo and every run's label columns are mapped back verbatim (no
     /// re-labeling), and slot states — including eviction tombstones and
     /// decision counters — are reinstated. Answers are byte-identical to
-    /// the saved fleet's. Raw runs decode into owned columns; every
-    /// [`snapshot::seg::PACKED_COLUMNS_ALIGNED`] segment is bound
-    /// **zero-copy** over `buf` as a [`crate::PackedColumnsView`]. Returns
-    /// the fleet, the specification graph it serves, and a
-    /// [`FleetLoadProfile`] of the split. A reader whose payloads do not
-    /// lie inside `buf` is a typed error.
+    /// the saved fleet's. Every [`snapshot::seg::PACKED_COLUMNS_ALIGNED`]
+    /// segment is bound **zero-copy** over `buf` as a
+    /// [`crate::PackedColumnsView`]. Returns the fleet, the specification
+    /// graph it serves, and a [`FleetLoadProfile`]. A reader whose payloads
+    /// do not lie inside `buf` is a typed error.
     pub fn read_snapshot(
         r: &snapshot::SnapshotReader<'_>,
         buf: &Arc<[u8]>,
@@ -870,62 +757,39 @@ impl<'s> FleetEngine<'s, SpecScheme> {
             bytes: buf.len(),
             ..FleetLoadProfile::default()
         };
-        let mut runs = r.all(snapshot::seg::RUN_COLUMNS);
-        let mut packed_runs = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED);
+        let mut runs = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED);
         for _ in 0..slot_count {
-            let state = cur.u8()?;
-            match state {
-                SLOT_FROZEN | SLOT_FROZEN_PACKED_ALIGNED => {
+            match cur.u8()? {
+                SLOT_FROZEN => {
                     let context_only = cur.varint()?;
                     let skeleton_queries = cur.varint()?;
-                    // raw and packed runs ride separate segment kinds, so
-                    // each manifest state consumes from its own stream
-                    let payload = if state == SLOT_FROZEN {
-                        runs.next()
-                    } else {
-                        packed_runs.next()
-                    }
-                    .ok_or(snapshot::FormatError::Malformed(
+                    let payload = runs.next().ok_or(snapshot::FormatError::Malformed(
                         "manifest promises more runs than stored",
                     ))?;
+                    // the payload's offset inside `buf`, if the reader was
+                    // parsed from it
+                    let off = (payload.as_ptr() as usize)
+                        .checked_sub(buf.as_ptr() as usize)
+                        .filter(|off| {
+                            off.checked_add(payload.len())
+                                .is_some_and(|end| end <= buf.len())
+                        })
+                        .ok_or(snapshot::FormatError::Malformed(
+                            "packed payload outside the load buffer",
+                        ))?;
+                    let view = PackedColumnsView::bind(Arc::clone(buf), off, payload.len())?;
                     // origins index the skeleton's per-module arrays; a
                     // forged column must be a typed error, not an
                     // out-of-bounds panic on the first skeleton probe
-                    let check_bound = |bound: u32| {
-                        if bound as usize > graph.vertex_count() {
-                            Err(snapshot::FormatError::Malformed(
-                                "run origin outside the specification graph",
-                            ))
-                        } else {
-                            Ok(())
-                        }
-                    };
-                    if state == SLOT_FROZEN {
-                        let cols = snapshot::read_run_columns(payload)?;
-                        check_bound(cols.origin_bound())?;
-                        let handle = RunHandle::from_columns(cols);
-                        handle.count(context_only, skeleton_queries);
-                        profile.decoded_runs += 1;
-                        fleet.push(Slot::Frozen(handle));
-                    } else {
-                        // the payload's offset inside `buf`, if the reader
-                        // was parsed from it
-                        let off = (payload.as_ptr() as usize)
-                            .checked_sub(buf.as_ptr() as usize)
-                            .filter(|off| {
-                                off.checked_add(payload.len())
-                                    .is_some_and(|end| end <= buf.len())
-                            })
-                            .ok_or(snapshot::FormatError::Malformed(
-                                "packed payload outside the load buffer",
-                            ))?;
-                        let view = PackedColumnsView::bind(Arc::clone(buf), off, payload.len())?;
-                        check_bound(view.origin_bound())?;
-                        let handle = PackedRunHandle::from_store(PackedStore::View(view));
-                        handle.count(context_only, skeleton_queries);
-                        profile.zero_copy_runs += 1;
-                        fleet.push(Slot::FrozenPacked(handle));
+                    if view.origin_bound() as usize > graph.vertex_count() {
+                        return Err(snapshot::FormatError::Malformed(
+                            "run origin outside the specification graph",
+                        ));
                     }
+                    let handle = PackedRunHandle::from_store(PackedStore::View(view));
+                    handle.count(context_only, skeleton_queries);
+                    profile.zero_copy_runs += 1;
+                    fleet.push(Slot::Frozen(handle));
                 }
                 SLOT_EVICTED => {
                     fleet.push(Slot::Evicted);
@@ -935,7 +799,7 @@ impl<'s> FleetEngine<'s, SpecScheme> {
             }
         }
         cur.finish()?;
-        if runs.next().is_some() || packed_runs.next().is_some() {
+        if runs.next().is_some() {
             return Err(snapshot::FormatError::Malformed(
                 "stored runs exceed the manifest",
             ));
@@ -954,8 +818,8 @@ impl<'s> FleetEngine<'s, SpecScheme> {
     /// container is fully validated (structure and payload CRCs), then
     /// [`read_snapshot`](Self::read_snapshot) serves each packed run
     /// straight out of `bytes` — no per-word decode, no per-run
-    /// allocation proportional to the run. The profile reports the
-    /// raw/zero-copy split and the buffer size.
+    /// allocation proportional to the run. The profile reports the runs
+    /// bound and the buffer size.
     pub fn load_shared(
         bytes: Arc<[u8]>,
     ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
@@ -985,7 +849,6 @@ impl<'s> FleetEngine<'s, SpecScheme> {
             .iter()
             .map(|slot| match slot {
                 Slot::Frozen(h) => (h.context_only(), h.skeleton_queries()),
-                Slot::FrozenPacked(h) => (h.context_only(), h.skeleton_queries()),
                 Slot::Live(_) | Slot::Evicted => (0, 0),
             })
             .collect()
@@ -998,16 +861,11 @@ impl<'s> FleetEngine<'s, SpecScheme> {
     /// already carried.
     pub(crate) fn restore_counters(&self, saved: &[(u64, u64)]) {
         for (slot, &(ctx_saved, skel_saved)) in self.slots.iter().zip(saved) {
-            match slot {
-                Slot::Frozen(h) => h.count(
+            if let Slot::Frozen(h) = slot {
+                h.count(
                     ctx_saved.saturating_sub(h.context_only()),
                     skel_saved.saturating_sub(h.skeleton_queries()),
-                ),
-                Slot::FrozenPacked(h) => h.count(
-                    ctx_saved.saturating_sub(h.context_only()),
-                    skel_saved.saturating_sub(h.skeleton_queries()),
-                ),
-                Slot::Live(_) | Slot::Evicted => {}
+                );
             }
         }
     }
@@ -1017,6 +875,7 @@ impl<'s> FleetEngine<'s, SpecScheme> {
 mod tests {
     use super::*;
     use crate::engine::QueryEngine;
+    use crate::label::LabeledRun;
     use wfp_model::fixtures::{paper_run, paper_spec, paper_subgraph};
     use wfp_speclabel::{SchemeKind, SpecScheme};
 
@@ -1063,7 +922,7 @@ mod tests {
             }
 
             let stats = fleet.stats();
-            assert_eq!(stats.frozen, k);
+            assert_eq!(stats.packed, k);
             assert_eq!(stats.context_refs, 1, "only the fleet holds the context");
             assert_eq!(stats.spec_bytes_if_per_run, k * stats.spec_bytes);
             assert_eq!(stats.engine.total(), probes.len() as u64);
@@ -1115,7 +974,7 @@ mod tests {
             run.end_copy().unwrap();
         }
         assert_eq!(fleet.stats().live, 1);
-        assert_eq!(fleet.stats().frozen, 1);
+        assert_eq!(fleet.stats().packed, 1);
         // the live labeler holds a second context reference
         assert_eq!(fleet.stats().context_refs, 2);
 
@@ -1208,7 +1067,7 @@ mod tests {
 
         fleet.freeze_run(id).unwrap();
         assert_eq!(fleet.stats().live, 0);
-        assert_eq!(fleet.stats().frozen, 1);
+        assert_eq!(fleet.stats().packed, 1);
         assert_eq!(fleet.stats().context_refs, 1, "labeler reference released");
         assert_eq!(fleet.answer_batch(&probes).unwrap(), live_answers);
         // decision counters carried across the freeze, then kept growing
@@ -1289,7 +1148,7 @@ mod tests {
                 Err(FleetError::Evicted(_))
             ));
             let stats = loaded.stats();
-            assert_eq!(stats.frozen, 3);
+            assert_eq!(stats.packed, 3);
             assert_eq!(stats.evicted, 1);
             // decision counters carried across the restart
             assert_eq!(stats.engine.total(), 2 * probes.len() as u64);
@@ -1329,6 +1188,10 @@ mod tests {
         assert!(stats.engine.memo_hits > 0);
     }
 
+    /// Every frozen run is stored packed from its registration: it
+    /// answers like the raw engine over the same labels on every entry
+    /// point, holds fewer bytes, saves as packed segments only, and the
+    /// retired layouts are typed errors on load.
     #[test]
     fn sealed_packed_runs_serve_identically_and_persist() {
         let spec = paper_spec();
@@ -1336,31 +1199,34 @@ mod tests {
             let labels = labels(&spec, kind);
             let mut fleet = FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
             let ids: Vec<RunId> = (0..4).map(|_| fleet.register_labels(&labels)).collect();
+            // saved with no seal call: four packed segments, no raw one
+            let bytes = fleet.save(spec.graph()).unwrap();
+            let r = snapshot::SnapshotReader::parse(&bytes).unwrap();
+            let packed = r.all(snapshot::seg::PACKED_COLUMNS_ALIGNED).count();
+            assert_eq!(packed, 4, "{kind}");
+            assert_eq!(r.all(0x0003).count(), 0, "{kind}: a raw run segment");
+
+            // the raw oracle: the same labels in their own engine
+            let raw = QueryEngine::from_labels(&labels, SpecScheme::build(kind, spec.graph()));
+            let raw_bytes = ids.len() * raw.run().memory_bytes();
             let mut probes = Vec::new();
             for &id in &ids {
                 probes.extend(all_probes(id, labels.len()));
             }
-            let baseline = fleet.answer_batch(&probes).unwrap();
-            let raw_bytes = fleet.stats().run_bytes;
-            let raw_snapshot = fleet.save(spec.graph()).unwrap();
+            let baseline: Vec<bool> = probes.iter().map(|&(_, u, v)| raw.answer(u, v)).collect();
 
-            // Seal half the fleet: mixed raw + packed serving.
-            fleet.seal_packed(ids[1]).unwrap();
-            fleet.seal_packed(ids[3]).unwrap();
-            fleet.seal_packed(ids[3]).unwrap(); // idempotent
             let stats = fleet.stats();
-            assert_eq!((stats.frozen, stats.packed), (2, 2), "{kind}");
+            assert_eq!((stats.frozen, stats.packed), (0, 4), "{kind}");
             assert_eq!(stats.active(), 4);
             assert!(
                 stats.run_bytes < raw_bytes,
                 "{kind}: packing did not shrink resident bytes"
             );
-            // Counters carried across the seal: the baseline batch is
-            // still accounted in full.
-            assert_eq!(stats.engine.total(), probes.len() as u64);
 
-            // Scalar, batch and parallel all byte-identical to raw.
+            // Scalar, batch and parallel all byte-identical to raw, and the
+            // first batch is accounted in full.
             assert_eq!(fleet.answer_batch(&probes).unwrap(), baseline, "{kind}");
+            assert_eq!(fleet.stats().engine.total(), probes.len() as u64);
             for threads in [2usize, 4] {
                 assert_eq!(
                     fleet.answer_batch_parallel(&probes, threads).unwrap(),
@@ -1371,57 +1237,67 @@ mod tests {
             let (_, u, v) = probes[7];
             assert_eq!(fleet.answer(ids[1], u, v).unwrap(), baseline[7]);
 
-            // Mixed snapshot round trip: slot kinds, counters and answers
-            // all survive.
+            // Snapshot round trip: slot kinds, counters and answers all
+            // survive, from fewer bytes than the raw columns alone.
             let bytes = fleet.save(spec.graph()).unwrap();
+            assert!(
+                bytes.len() < raw_bytes,
+                "{kind}: packed snapshot {} !< raw columns {raw_bytes}",
+                bytes.len()
+            );
             let (loaded, _) = FleetEngine::load(&bytes).unwrap();
             let lstats = loaded.stats();
-            assert_eq!((lstats.frozen, lstats.packed), (2, 2), "{kind}");
+            assert_eq!((lstats.frozen, lstats.packed), (0, 4), "{kind}");
+            assert_eq!(lstats.engine.total(), fleet.stats().engine.total());
             assert_eq!(loaded.answer_batch(&probes).unwrap(), baseline, "{kind}");
 
-            // An all-packed snapshot is measurably smaller than the raw one.
-            fleet.seal_packed_all();
-            assert_eq!(fleet.stats().frozen, 0);
-            let packed_snapshot = fleet.save(spec.graph()).unwrap();
-            assert!(
-                packed_snapshot.len() < raw_snapshot.len(),
-                "{kind}: packed snapshot {} !< raw {}",
-                packed_snapshot.len(),
-                raw_snapshot.len()
-            );
-            let (reloaded, _) = FleetEngine::load(&packed_snapshot).unwrap();
-            assert_eq!(reloaded.answer_batch(&probes).unwrap(), baseline, "{kind}");
-
-            // The retired unaligned framing, slot state 2 over segment kind
-            // 0x0009, is a typed error on both load paths, never misread.
-            let r = snapshot::SnapshotReader::parse(&packed_snapshot).unwrap();
-            let mut w = snapshot::SnapshotWriter::new();
-            for &(seg_kind, payload) in r.segments() {
-                match seg_kind {
-                    snapshot::seg::FLEET_MANIFEST => {
-                        let mut cur = snapshot::Cursor::new(payload);
-                        let slots = cur.varint().unwrap();
-                        let mut manifest = Vec::new();
-                        snapshot::put_varint(&mut manifest, slots);
-                        for _ in 0..slots {
-                            assert_eq!(cur.u8().unwrap(), SLOT_FROZEN_PACKED_ALIGNED);
-                            manifest.push(2);
-                            snapshot::put_varint(&mut manifest, cur.varint().unwrap());
-                            snapshot::put_varint(&mut manifest, cur.varint().unwrap());
-                        }
-                        w.push(seg_kind, manifest);
-                    }
-                    snapshot::seg::PACKED_COLUMNS_ALIGNED => w.push(0x0009, payload.to_vec()),
-                    _ => w.push(seg_kind, payload.to_vec()),
+            // The retired layouts are typed errors on both load paths,
+            // never misread: slot state 2 over segment kind 0x0009 (an
+            // unaligned packed framing), and slot state 1 over kind 0x0003
+            // carrying the same run raw (a varint count, then four
+            // little-endian `u32` columns).
+            let mut raw_run = Vec::new();
+            snapshot::put_varint(&mut raw_run, labels.len() as u64);
+            let columns: [fn(&RunLabel) -> u32; 4] =
+                [|l| l.q1, |l| l.q2, |l| l.q3, |l| l.origin.raw()];
+            for column in columns {
+                for l in &labels {
+                    raw_run.extend_from_slice(&column(l).to_le_bytes());
                 }
             }
-            let retired = w.finish();
+            let retire = |state: u8, run_kind: u16, run: Option<&[u8]>| {
+                let mut w = snapshot::SnapshotWriter::new();
+                for &(seg_kind, payload) in r.segments() {
+                    match seg_kind {
+                        snapshot::seg::FLEET_MANIFEST => {
+                            let mut cur = snapshot::Cursor::new(payload);
+                            let slots = cur.varint().unwrap();
+                            let mut manifest = Vec::new();
+                            snapshot::put_varint(&mut manifest, slots);
+                            for _ in 0..slots {
+                                assert_eq!(cur.u8().unwrap(), SLOT_FROZEN);
+                                manifest.push(state);
+                                snapshot::put_varint(&mut manifest, cur.varint().unwrap());
+                                snapshot::put_varint(&mut manifest, cur.varint().unwrap());
+                            }
+                            w.push(seg_kind, manifest);
+                        }
+                        snapshot::seg::PACKED_COLUMNS_ALIGNED => {
+                            w.push(run_kind, run.unwrap_or(payload).to_vec())
+                        }
+                        _ => w.push(seg_kind, payload.to_vec()),
+                    }
+                }
+                w.finish()
+            };
             let unknown = snapshot::FormatError::Malformed("unknown slot state");
-            assert!(matches!(FleetEngine::load(&retired), Err(e) if e == unknown));
-            assert!(matches!(
-                FleetEngine::load_shared(Arc::from(retired)),
-                Err(e) if e == unknown
-            ));
+            for retired in [retire(2, 0x0009, None), retire(1, 0x0003, Some(&raw_run))] {
+                assert!(matches!(FleetEngine::load(&retired), Err(e) if e == unknown));
+                assert!(matches!(
+                    FleetEngine::load_shared(Arc::from(retired)),
+                    Err(e) if e == unknown
+                ));
+            }
         }
     }
 
@@ -1431,16 +1307,12 @@ mod tests {
         let mut fleet =
             FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()));
         fleet.register_labels(&labels(&spec, SchemeKind::Tcm));
-        fleet.seal_packed_all();
         let bytes = fleet.save(spec.graph()).unwrap();
         let buf: Arc<[u8]> = Arc::from(bytes.as_slice());
 
         let r = snapshot::SnapshotReader::parse(&buf).unwrap();
         let (_, _, profile) = FleetEngine::read_snapshot(&r, &buf).unwrap();
-        assert_eq!(
-            (profile.zero_copy_runs, profile.decoded_runs, profile.bytes),
-            (1, 0, buf.len())
-        );
+        assert_eq!((profile.zero_copy_runs, profile.bytes), (1, buf.len()));
 
         // the same bytes in another allocation: a typed error, wherever
         // that allocation lies relative to `buf`
@@ -1458,31 +1330,6 @@ mod tests {
     }
 
     #[test]
-    fn seal_packed_rejects_live_and_evicted_runs() {
-        let spec = paper_spec();
-        let mut fleet =
-            FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()));
-        let frozen = fleet.register_labels(&labels(&spec, SchemeKind::Tcm));
-        let live = fleet.begin_live(&spec);
-        assert!(matches!(
-            fleet.seal_packed(live),
-            Err(FleetError::StillLive(id)) if id == live
-        ));
-        assert!(matches!(
-            fleet.seal_packed(RunId(99)),
-            Err(FleetError::UnknownRun(_))
-        ));
-        fleet.evict(frozen).unwrap();
-        assert!(matches!(
-            fleet.seal_packed(frozen),
-            Err(FleetError::Evicted(_))
-        ));
-        // seal_packed_all leaves live runs and tombstones alone
-        assert_eq!(fleet.seal_packed_all(), 0);
-        assert_eq!(fleet.stats().live, 1);
-    }
-
-    #[test]
     fn live_runs_refuse_to_snapshot() {
         let spec = paper_spec();
         let mut fleet =
@@ -1496,7 +1343,7 @@ mod tests {
         // after that the snapshot succeeds and preserves the tombstone
         fleet.evict(live).unwrap();
         let (loaded, _) = FleetEngine::load(&fleet.save(spec.graph()).unwrap()).unwrap();
-        assert_eq!(loaded.stats().frozen, 1);
+        assert_eq!(loaded.stats().packed, 1);
         assert_eq!(loaded.stats().evicted, 1);
     }
 }

@@ -6,17 +6,17 @@
 //! in `[0, 3n)` and `origin` is a module id in `[0, n_G)`. This module
 //! packs each column independently with frame-of-reference encoding (store
 //! `min`, then `value − min` at the smallest bit width covering
-//! `max − min`), chosen per column when a run is sealed:
+//! `max − min`), chosen per column when a run is packed:
 //!
 //! * **Resident footprint** — a packed run costs `Σ widths / 8` bytes per
-//!   vertex (typically ~6–7 instead of 16), so cold, evicted, or
-//!   memory-pressured fleets can stay *serving* in packed form instead of
-//!   being dropped to disk ([`crate::fleet::FleetEngine::seal_packed`]).
+//!   vertex (typically ~6–7 instead of 16). A
+//!   [`crate::fleet::FleetEngine`] packs every run it registers or
+//!   freezes, so this is the one form its frozen runs take.
 //! * **One layout, in memory and on disk** — a run packs straight into
 //!   the [`seg::PACKED_COLUMNS_ALIGNED`] segment payload, and
-//!   [`PackedColumnsView`] serves that payload in place: a sealed run owns
-//!   its buffer, a run loaded from a snapshot shares the load buffer, and
-//!   saving writes the payload back verbatim.
+//!   [`PackedColumnsView`] serves that payload in place: a run packed in
+//!   memory owns its buffer, a run loaded from a snapshot shares the load
+//!   buffer, and saving writes the payload back verbatim.
 //! * **Direct serving** — queries do **not** unpack the run: the two-phase
 //!   sweep kernel ([`crate::engine`]) gathers 64-lane blocks through a
 //!   shift-and-mask decode into the same stack scratch the raw columns
@@ -24,8 +24,8 @@
 //!   of ALU ops per lane against a column that now fits deeper in cache.
 //!
 //! [`PackedEngine`] is the single-run packed counterpart of
-//! [`QueryEngine`]; fleets mix packed and raw
-//! slots freely.
+//! [`QueryEngine`], which keeps the raw columns and serves as the oracle
+//! the packed form is checked against.
 //!
 //! [`seg::PACKED_COLUMNS_ALIGNED`]: crate::snapshot::seg::PACKED_COLUMNS_ALIGNED
 
@@ -119,8 +119,8 @@ struct ViewCol {
 /// Bit-packed struct-of-arrays label storage for one frozen run: the four
 /// columns of [`SoaLabels`], each frame-of-reference encoded at its own
 /// width, served in place out of a packed payload
-/// ([`seg::PACKED_COLUMNS_ALIGNED`]) inside a shared buffer. A sealed run
-/// ([`PackedRunHandle::pack`]) owns its buffer; a run loaded from a snapshot
+/// ([`seg::PACKED_COLUMNS_ALIGNED`]) inside a shared buffer. A run packed
+/// in memory ([`PackedRunHandle::pack`]) owns its buffer; a run loaded from a snapshot
 /// shares the load buffer ([`bind`](Self::bind) costs no per-word decode
 /// and no allocation proportional to the run), so a snapshot fault-in is
 /// read + checksum, and an evict→reload cycle of an unmodified fleet can

@@ -23,15 +23,13 @@
 //! * **pressure** — a configurable byte budget over the fleets'
 //!   [`FleetStats`](crate::FleetStats) memory signal. When resident bytes exceed the budget,
 //!   least-recently-used fleets are offloaded to their snapshot (memory or
-//!   directory backed) and reload transparently on the next probe. The
-//!   registry packs every run as it registers or freezes it, so a fleet it
-//!   built serves, offloads and persists bit-packed: its reload reads about
-//!   a third of the bytes a raw snapshot takes, binds zero-copy views and
+//!   directory backed) and reload transparently on the next probe. A
+//!   fleet packs every run as it registers or freezes it, so it serves,
+//!   offloads and persists bit-packed: its reload reads about a third of
+//!   the bytes raw label columns would take, binds zero-copy views and
 //!   takes about a third of the budget. A fleet whose content changed since
 //!   its snapshot was written is re-serialized on offload; an unchanged
-//!   fleet writes nothing and reloads in whatever form its snapshot holds,
-//!   which is raw only in a directory written before registries packed
-//!   their runs.
+//!   fleet writes nothing.
 //!
 //! Integrity has the same contract as the rest of the snapshot layer: a
 //! truncated or bit-flipped manifest, a forged entry, or a `*.wfps` file
@@ -405,9 +403,10 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Lifetime lazy reloads from the backing snapshot.
     pub lazy_loads: u64,
-    /// Lifetime lazy reloads whose packed runs all bound **zero-copy** to
-    /// the shared snapshot buffer (no per-word decode) — a subset of
-    /// [`lazy_loads`](Self::lazy_loads).
+    /// Lifetime lazy reloads that bound packed runs **zero-copy** to the
+    /// shared snapshot buffer (no per-word decode). Every frozen run loads
+    /// that way, so this counts every reload of a fleet holding at least
+    /// one frozen run — a subset of [`lazy_loads`](Self::lazy_loads).
     pub zero_copy_loads: u64,
     /// Lifetime snapshot bytes read (or rebound) by lazy reloads.
     pub reload_bytes: u64,
@@ -415,10 +414,8 @@ pub struct RegistryStats {
     /// (parse + bind/decode), so benches can attribute reload cost.
     pub decode_ms: f64,
     /// Frozen runs currently serving in bit-packed form, summed over the
-    /// resident fleets: every run the registry registered or froze, and
-    /// every run faulted in from a packed snapshot. Only a fleet faulted in
-    /// from a directory written before registries packed their runs holds
-    /// raw runs, until [`ServiceRegistry::seal_packed`] packs them.
+    /// resident fleets. A fleet holds every frozen run packed, so this
+    /// counts them all.
     pub packed_runs: usize,
     /// Packed runs served out of a [`crate::PackedColumnsView`], summed
     /// over the resident fleets. Every packed run is one, so this always
@@ -639,9 +636,9 @@ impl<'s> ServiceRegistry<'s> {
     // ---------------- run lifecycle, routed by spec ----------------
 
     /// Registers a frozen run (its offline labels) under `spec`,
-    /// reloading the fleet first if it was offloaded. The run is stored
-    /// bit-packed from the start ([`FleetEngine::seal_packed`]), so it
-    /// serves, offloads and persists as
+    /// reloading the fleet first if it was offloaded. The fleet stores the
+    /// run bit-packed from the start ([`FleetEngine::register_labels`]), so
+    /// it serves, offloads and persists as
     /// [`PACKED_COLUMNS_ALIGNED`](snapshot::seg::PACKED_COLUMNS_ALIGNED)
     /// and the budget counts its packed size.
     pub fn register_labels(
@@ -653,11 +650,7 @@ impl<'s> ServiceRegistry<'s> {
         self.touch(idx)?;
         let (run, count) = {
             let (fleet, _) = self.resident_mut(idx);
-            let run = fleet.register_labels(labels);
-            fleet
-                .seal_packed(run)
-                .expect("a run registered just now is neither live nor evicted");
-            (run, fleet.run_count())
+            (fleet.register_labels(labels), fleet.run_count())
         };
         self.slots[idx].runs = count;
         self.slots[idx].dirty = true;
@@ -710,18 +703,16 @@ impl<'s> ServiceRegistry<'s> {
     }
 
     /// Freezes a completed live run in place (same [`RunId`], labels
-    /// extracted in execution order), then packs it like
-    /// [`register_labels`](Self::register_labels) does, decision counters
-    /// included. A failed freeze packs nothing and leaves the run live.
+    /// extracted in execution order), which the fleet packs like
+    /// [`register_labels`](Self::register_labels)' runs, decision counters
+    /// included ([`FleetEngine::freeze_run`]). A failed freeze leaves the
+    /// run live.
     pub fn freeze_run(&mut self, spec: SpecId, run: RunId) -> Result<(), RegistryError> {
         let idx = self.index_of(spec)?;
         let (fleet, _) = self.resident_or_err(idx, run)?;
         fleet
             .freeze_run(run)
             .map_err(|error| RegistryError::Fleet { spec, error })?;
-        fleet
-            .seal_packed(run)
-            .expect("a run frozen just now is neither live nor evicted");
         self.slots[idx].dirty = true;
         Ok(())
     }
@@ -871,26 +862,13 @@ impl<'s> ServiceRegistry<'s> {
         self.enforce_budget(None)
     }
 
-    /// Seals every raw frozen run of `spec` into bit-packed columns in
-    /// place ([`FleetEngine::seal_packed_all`]), reloading the fleet first
-    /// if it was offloaded. Returns the number of runs sealed. Every run
-    /// this registry registers or freezes is packed already, so on a fleet
-    /// it built this returns 0; only a fleet that faulted in raw from a
-    /// directory written before registries packed their runs has runs to
-    /// seal. A sealed fleet re-serializes on its next offload, after which
-    /// reloads ride the zero-copy path.
-    pub fn seal_packed(&mut self, spec: SpecId) -> Result<usize, RegistryError> {
-        let idx = self.index_of(spec)?;
-        self.touch(idx)?;
-        let sealed = {
-            let (fleet, _) = self.resident_mut(idx);
-            fleet.seal_packed_all()
-        };
-        if sealed > 0 {
-            self.slots[idx].dirty = true;
-        }
-        self.enforce_budget(Some(idx))?;
-        Ok(sealed)
+    /// The number of runs of `spec` left to pack: always 0, since a fleet
+    /// packs every run as it registers, freezes or loads it. It stays only
+    /// because perfbench's `batch-mixed` set-up still calls it; an unknown
+    /// `spec` is [`RegistryError::UnknownSpec`].
+    pub fn seal_packed(&self, spec: SpecId) -> Result<usize, RegistryError> {
+        self.index_of(spec)?;
+        Ok(0)
     }
 
     /// Bytes currently held by resident fleets (the [`FleetStats`] spec +
@@ -914,9 +892,9 @@ impl<'s> ServiceRegistry<'s> {
     /// directory). A fleet with in-flight live runs refuses with
     /// [`FleetError::StillLive`] and keeps its resident form; an
     /// already-offloaded spec is a no-op. A fleet changed since its
-    /// snapshot was written is re-serialized in the packed form its runs
-    /// were registered or frozen in, so its next probe faults it in
-    /// zero-copy; an unchanged fleet writes nothing.
+    /// snapshot was written is re-serialized in the packed form it holds
+    /// its runs in, so its next probe faults it in zero-copy; an unchanged
+    /// fleet writes nothing.
     pub fn evict(&mut self, spec: SpecId) -> Result<(), RegistryError> {
         let idx = self.index_of(spec)?;
         self.offload(idx)
@@ -1103,7 +1081,7 @@ impl<'s> ServiceRegistry<'s> {
         self.lazy_loads += 1;
         self.reload_bytes += profile.bytes as u64;
         self.decode_ms += elapsed.as_secs_f64() * 1e3;
-        if profile.zero_copy_runs > 0 && profile.decoded_runs == 0 {
+        if profile.zero_copy_runs > 0 {
             self.zero_copy_loads += 1;
         }
         self.clock += 1;
@@ -1154,17 +1132,15 @@ impl<'s> ServiceRegistry<'s> {
     /// checksum (or, for the memory store, a pointer-identity rebind) of
     /// the bytes already in the store.
     ///
-    /// A *dirty* fleet is re-serialized. Every run this registry registers
-    /// or freezes is packed on arrival, so the stored snapshot holds only
+    /// A *dirty* fleet is re-serialized. A fleet holds every frozen run
+    /// packed, so the stored snapshot holds only
     /// [`PACKED_COLUMNS_ALIGNED`](snapshot::seg::PACKED_COLUMNS_ALIGNED)
     /// runs: the next fault-in reads and checksums about a third of the
-    /// bytes a raw snapshot takes and binds views over the load buffer
-    /// instead of decoding columns, and `est_bytes` budgets that packed
-    /// size. Only a fleet faulted in raw from a directory written before
-    /// registries packed their runs writes raw runs back, until
-    /// [`seal_packed`](Self::seal_packed) packs them. A fleet with a live
-    /// run is refused with [`FleetError::StillLive`]; a failed directory
-    /// write leaves the fleet resident and dirty.
+    /// bytes raw label columns would take and binds views over the load
+    /// buffer instead of decoding columns, and `est_bytes` budgets that
+    /// packed size. A fleet with a live run is refused with
+    /// [`FleetError::StillLive`]; a failed directory write leaves the fleet
+    /// resident and dirty.
     fn offload(&mut self, idx: usize) -> Result<(), RegistryError> {
         let spec = self.slots[idx].id;
         if matches!(self.slots[idx].state, State::Offloaded) {
@@ -2063,7 +2039,7 @@ mod tests {
             let file = std::fs::read(dir.join(id.file_name())).unwrap();
             let parsed = SnapshotReader::parse(&file).unwrap();
             (
-                parsed.all(seg::RUN_COLUMNS).count(),
+                parsed.all(0x0003).count(),
                 parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(),
             )
         };
@@ -2108,10 +2084,10 @@ mod tests {
     }
 
     /// Every run a registry registers or freezes is stored packed from the
-    /// start, under every scheme: it answers like a plain fleet fed the
-    /// same runs (which keeps them raw), keeps its decision counters across
-    /// the freeze, holds fewer bytes, persists without a raw segment and
-    /// faults back in zero-copy.
+    /// start, under every scheme: it answers like raw `QueryEngine`s over
+    /// the same runs, keeps its decision counters across the freeze, holds
+    /// fewer bytes, persists without a raw segment and faults back in
+    /// zero-copy.
     #[test]
     fn registered_and_frozen_runs_are_born_packed() {
         use crate::construct::construct_plan;
@@ -2123,21 +2099,22 @@ mod tests {
         for kind in SchemeKind::ALL {
             let l = labels(&spec, kind);
             let mut reg = ServiceRegistry::new();
-            let mut plain = FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
+            // the raw oracle: one engine per run, the streamed one frozen
+            // from a live run fed the same events
+            let mut raw: Vec<QueryEngine<SpecScheme>> = Vec::new();
             let id = reg.register_spec(&spec, kind).unwrap();
-            for _ in 0..2 {
-                assert_eq!(
-                    reg.register_labels(id, &l).unwrap(),
-                    plain.register_labels(&l)
-                );
+            for r in 0..2 {
+                assert_eq!(reg.register_labels(id, &l).unwrap(), RunId(r));
+                raw.push(QueryEngine::from_labels(
+                    &l,
+                    SpecScheme::build(kind, spec.graph()),
+                ));
             }
             let live = reg.begin_live(id, &spec).unwrap();
-            assert_eq!(plain.begin_live(&spec), live);
+            assert_eq!(live, RunId(2));
+            let mut streamed = LiveRun::new(&spec, SpecScheme::build(kind, spec.graph()));
             for &event in &events {
-                for run in [
-                    reg.live_mut(id, live).unwrap(),
-                    plain.live_mut(live).unwrap(),
-                ] {
+                for run in [reg.live_mut(id, live).unwrap(), &mut streamed] {
                     match event {
                         RunEvent::BeginGroup(sg) => run.begin_group(sg).unwrap(),
                         RunEvent::BeginCopy => run.begin_copy().unwrap(),
@@ -2157,24 +2134,19 @@ mod tests {
             let e = reg.live_mut(id, live).unwrap().stats().engine;
             counters[live.index()] = (e.context_only, e.skeleton);
             reg.freeze_run(id, live).unwrap();
-            plain.freeze_run(live).unwrap();
+            raw.push(streamed.freeze().unwrap());
 
             let fleet = reg.fleet(id).unwrap();
             let fs = fleet.stats();
             assert_eq!((fs.frozen, fs.packed, fs.live), (0, 3, 0), "{kind}");
             assert_eq!(reg.stats().packed_runs, 3, "{kind}");
             assert_eq!(fleet.slot_counters(), counters, "{kind}: counters continue");
-            let ps = plain.stats();
-            assert_eq!(
-                (ps.frozen, ps.packed),
-                (3, 0),
-                "{kind}: the plain fleet stays raw"
-            );
+            let raw_bytes: usize = raw.iter().map(|e| e.run().memory_bytes()).sum();
             assert!(
-                reg.resident_bytes() < ps.spec_bytes + ps.run_bytes,
+                reg.resident_bytes() < fs.spec_bytes + raw_bytes,
                 "{kind}: {} packed bytes, {} raw",
                 reg.resident_bytes(),
-                ps.spec_bytes + ps.run_bytes
+                fs.spec_bytes + raw_bytes
             );
             let probes: Vec<_> = (0..3u32)
                 .flat_map(|r| {
@@ -2182,7 +2154,10 @@ mod tests {
                 })
                 .map(|(r, u, v)| (RunId(r), RunVertexId(u), RunVertexId(v)))
                 .collect();
-            let want = plain.answer_batch(&probes).unwrap();
+            let want: Vec<bool> = probes
+                .iter()
+                .map(|&(r, u, v)| raw[r.index()].answer(u, v))
+                .collect();
             assert_eq!(live_answers, want, "{kind}: while live");
             assert_eq!(all_pairs(&mut reg, id, n), want, "{kind}: frozen");
 
@@ -2190,11 +2165,7 @@ mod tests {
             reg.save_dir(&dir).unwrap();
             let file = std::fs::read(dir.join(id.file_name())).unwrap();
             let parsed = SnapshotReader::parse(&file).unwrap();
-            assert_eq!(
-                parsed.all(seg::RUN_COLUMNS).count(),
-                0,
-                "{kind}: no raw run"
-            );
+            assert_eq!(parsed.all(0x0003).count(), 0, "{kind}: no raw run");
             assert_eq!(parsed.all(seg::PACKED_COLUMNS_ALIGNED).count(), 3, "{kind}");
             let mut opened = ServiceRegistry::open_dir(&dir, None).unwrap();
             opened.ensure_resident(id).unwrap();

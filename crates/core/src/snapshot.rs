@@ -24,7 +24,8 @@
 //!   in a payload is a typed [`FormatError`] — never a wrong answer;
 //! * segment kinds compose: a spec record ([`write_spec_context`]) is two
 //!   segments, a fleet is a spec record + a manifest + one
-//!   [`seg::RUN_COLUMNS`] segment per frozen run, and higher layers
+//!   [`seg::PACKED_COLUMNS_ALIGNED`] segment per frozen run (the one form
+//!   a fleet stores a frozen run in), and higher layers
 //!   (`wfp-provenance`'s fleet index) append their own kinds to the same
 //!   container.
 //!
@@ -50,7 +51,6 @@ use wfp_graph::DiGraph;
 use wfp_speclabel::{SchemeKind, SpecScheme};
 
 use crate::context::{SharedMemo, SpecContext};
-use crate::engine::SoaLabels;
 
 /// Container magic: the first four bytes of every snapshot.
 pub const MAGIC: [u8; 4] = *b"WFPS";
@@ -60,14 +60,14 @@ pub const VERSION: u16 = 1;
 
 /// Well-known segment kinds. Unknown kinds are skipped by readers (forward
 /// compatibility); the constants here are the kinds this crate stack
-/// writes.
+/// writes. Kinds `0x0003` and `0x0009` are reserved: they named a frozen
+/// run's retired raw columns and a retired unaligned packed layout, so
+/// reusing either would misread old files.
 pub mod seg {
     /// Spec-labeling record: scheme kind + specification graph.
     pub const SPEC_LABELING: u16 = 0x0001;
     /// Dense [`super::SharedMemo`] warm-snapshot cells.
     pub const MEMO_WARM: u16 = 0x0002;
-    /// One frozen run's SoA label columns.
-    pub const RUN_COLUMNS: u16 = 0x0003;
     /// Fleet manifest: slot states + per-run decision counters.
     pub const FLEET_MANIFEST: u16 = 0x0004;
     /// Packed fixed-width label array (`EncodedLabels`).
@@ -81,12 +81,10 @@ pub mod seg {
     /// names.
     pub const REGISTRY_MANIFEST: u16 = 0x0008;
     /// One frozen run's bit-packed label columns
-    /// (`wfp_skl::PackedColumnsView`), the compressed form of
-    /// [`RUN_COLUMNS`]: a fixed header, then each column's `u64` words
-    /// plus a zero pad word, every region a multiple of 8 from the payload
-    /// start — served straight out of the load buffer with zero per-word
-    /// decode. Kind `0x0009` is reserved: it named a retired unaligned
-    /// layout, so reusing it would misread old files.
+    /// (`wfp_skl::PackedColumnsView`): a fixed header, then each column's
+    /// `u64` words plus a zero pad word, every region a multiple of 8 from
+    /// the payload start — served straight out of the load buffer with
+    /// zero per-word decode.
     pub const PACKED_COLUMNS_ALIGNED: u16 = 0x000A;
 }
 
@@ -476,7 +474,8 @@ impl SnapshotWriter {
     }
 
     /// Appends one segment. Repeated kinds are allowed (a fleet writes one
-    /// [`seg::RUN_COLUMNS`] per run); readers see them in insertion order.
+    /// [`seg::PACKED_COLUMNS_ALIGNED`] per run); readers see them in
+    /// insertion order.
     pub fn push(&mut self, kind: u16, payload: Vec<u8>) {
         self.segments.push((kind, payload));
     }
@@ -748,47 +747,6 @@ impl SpecContext<SpecScheme> {
     pub fn load(bytes: &[u8]) -> Result<(Self, DiGraph), FormatError> {
         read_spec_context(&SnapshotReader::parse(bytes)?)
     }
-}
-
-// ====================================================================
-// Run label-column segments
-// ====================================================================
-
-/// Serializes one run's SoA label columns as a [`seg::RUN_COLUMNS`]
-/// payload: vertex count, then the four `u32` columns back to back — the
-/// layout [`read_run_columns`] maps straight back into a column store with
-/// no per-label decoding and no re-labeling.
-pub fn write_run_columns(cols: &SoaLabels) -> Vec<u8> {
-    let (q1, q2, q3, origin) = cols.raw_columns();
-    let mut out = Vec::with_capacity(2 + cols.len() * 16);
-    put_varint(&mut out, cols.len() as u64);
-    for col in [q1, q2, q3, origin] {
-        for &v in col {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Parses a [`write_run_columns`] payload.
-pub fn read_run_columns(payload: &[u8]) -> Result<SoaLabels, FormatError> {
-    let mut cur = Cursor::new(payload);
-    // 16 bytes per vertex across the four columns
-    let n = cur.guarded_count(16)?;
-    let read_col = |cur: &mut Cursor<'_>| -> Result<Vec<u32>, FormatError> {
-        let raw = cur.bytes(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    };
-    let q1 = read_col(&mut cur)?;
-    let q2 = read_col(&mut cur)?;
-    let q3 = read_col(&mut cur)?;
-    let origin = read_col(&mut cur)?;
-    cur.finish()?;
-    SoaLabels::from_raw_columns(q1, q2, q3, origin)
-        .ok_or(FormatError::Malformed("column lengths disagree"))
 }
 
 #[cfg(test)]

@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(fleet.item_by_name(runs[1], "x6"), Some(ids[3]));
         assert_eq!(fleet.item_by_name(runs[1], "zz"), None);
         // one context serves all three runs
-        assert_eq!(fleet.stats().frozen, 3);
+        assert_eq!(fleet.stats().packed, 3);
         assert_eq!(fleet.stats().context_refs, 1);
     }
 

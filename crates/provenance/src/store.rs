@@ -9,7 +9,6 @@
 //! answered from the deserialized form plus the specification's skeleton
 //! index.
 
-use bytes::Bytes;
 use wfp_model::ModuleId;
 use wfp_skl::snapshot::{self, put_str, put_varint, Cursor, FormatError, SnapshotReader, seg};
 use wfp_skl::{predicate, predicate_memo, LabeledRun, RunLabel, SharedMemo};
@@ -39,7 +38,7 @@ const LABEL_BYTES: usize = 16;
 
 /// Serializes the data labels of `data` over `labeled` into a snapshot
 /// container (see the module docs).
-pub fn serialize<S: SpecIndex>(labeled: &LabeledRun<S>, data: &RunData) -> Bytes {
+pub fn serialize<S: SpecIndex>(labeled: &LabeledRun<S>, data: &RunData) -> Vec<u8> {
     let index = ProvenanceIndex::build(labeled, data);
     let mut payload = Vec::with_capacity(8 + 32 * data.item_count());
     put_varint(&mut payload, data.item_count() as u64);
@@ -54,7 +53,7 @@ pub fn serialize<S: SpecIndex>(labeled: &LabeledRun<S>, data: &RunData) -> Bytes
     }
     let mut w = snapshot::SnapshotWriter::new();
     w.push(seg::PROVENANCE_ITEMS, payload);
-    Bytes::from(w.finish())
+    w.finish()
 }
 
 /// A provenance store loaded from bytes: data labels only, no run graph.

@@ -373,7 +373,7 @@ fn packed_fleet_snapshot(seed: u64, kind: SchemeKind) -> (Specification, Vec<u8>
         let (labels, _) = label_run(&spec, &generated.run).unwrap();
         fleet.register_labels(&labels);
     }
-    assert_eq!(fleet.seal_packed_all(), 2, "both runs sealed packed");
+    assert_eq!(fleet.stats().packed, 2, "both runs stored packed");
     let bytes = fleet.save(spec.graph()).unwrap();
     (spec, bytes)
 }

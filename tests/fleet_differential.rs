@@ -120,7 +120,7 @@ proptest! {
 
         // the sharing is provable: K runs, one context, one spec-state copy
         let stats = fleet.stats();
-        prop_assert_eq!(stats.frozen, K);
+        prop_assert_eq!(stats.packed, K);
         prop_assert_eq!(stats.context_refs, 1);
         prop_assert_eq!(stats.spec_bytes_if_per_run, K * stats.spec_bytes);
 
@@ -148,7 +148,7 @@ proptest! {
             "post-eviction fleet under {}",
             kind
         );
-        prop_assert_eq!(fleet.stats().frozen, K - 1);
+        prop_assert_eq!(fleet.stats().packed, K - 1);
         prop_assert_eq!(fleet.stats().evicted, 1);
     }
 
@@ -202,7 +202,7 @@ proptest! {
                 mappings.push(Some(mapping));
             }
         }
-        prop_assert_eq!(fleet.stats().frozen, FROZEN);
+        prop_assert_eq!(fleet.stats().packed, FROZEN);
         prop_assert_eq!(fleet.stats().live, LIVE);
         // each live labeler holds one extra context reference
         prop_assert_eq!(fleet.stats().context_refs, 1 + LIVE);

@@ -3,7 +3,7 @@
 //! so a change that moves a single written byte fails here, whichever
 //! writer it touches:
 //!
-//! * a raw fleet snapshot and the same fleet after `seal_packed_all`;
+//! * a fleet snapshot, its runs packed as the fleet registered them;
 //! * a registry directory's manifest (its entries carry each snapshot's
 //!   size), and its `<specid>.wfps` files, each byte-identical to the
 //!   packed snapshot of the same fleet;
@@ -12,8 +12,8 @@
 //!
 //! The inputs are the paper fixtures under every scheme plus one seeded
 //! `generate_registry` workload. Only long-standing public API is used,
-//! so the same file also runs against older trees: that is how a
-//! refactor proves it left the on-disk formats alone.
+//! so the same file also runs against the parent tree of a change: that
+//! is how a refactor proves it left the on-disk formats alone.
 
 use std::fs;
 
@@ -30,29 +30,17 @@ const SEED: u64 = 0x5EED_F00D;
 const FROZEN: &[(&str, usize, u32)] = &[
     ("paper/labels", 84, 0xFC3B25F6),
     ("paper/provenance", 1371, 0xE90398BA),
-    ("paper/TCM/fleet-raw", 637, 0xB40BF84E),
     ("paper/TCM/fleet-packed", 331, 0xF7E2DA95),
-    ("paper/BFS/fleet-raw", 701, 0xC1F9E199),
     ("paper/BFS/fleet-packed", 395, 0xBFDC8496),
-    ("paper/DFS/fleet-raw", 701, 0xF2166ED7),
     ("paper/DFS/fleet-packed", 395, 0x58928E09),
-    ("paper/TreeCover/fleet-raw", 701, 0xE34CEBED),
     ("paper/TreeCover/fleet-packed", 395, 0x05A8887C),
-    ("paper/Chain/fleet-raw", 637, 0xB175A054),
     ("paper/Chain/fleet-packed", 331, 0x4D2BD7B2),
-    ("paper/2Hop/fleet-raw", 701, 0x8493F571),
     ("paper/2Hop/fleet-packed", 395, 0x10459B03),
-    ("generated/0/fleet-raw", 2047, 0x3718F3CE),
     ("generated/0/fleet-packed", 565, 0x6545FFF1),
-    ("generated/1/fleet-raw", 2299, 0x3E35574A),
     ("generated/1/fleet-packed", 889, 0x94465DFC),
-    ("generated/2/fleet-raw", 2544, 0x423F40E3),
     ("generated/2/fleet-packed", 1102, 0xB9078741),
-    ("generated/3/fleet-raw", 2839, 0xDFDA5C36),
     ("generated/3/fleet-packed", 1365, 0x1C486D7B),
-    ("generated/4/fleet-raw", 2039, 0x75439FAC),
     ("generated/4/fleet-packed", 517, 0xB8C35B13),
-    ("generated/5/fleet-raw", 2431, 0x6445EE6A),
     ("generated/5/fleet-packed", 845, 0xFABDD10A),
     ("generated/manifest", 238, 0x82DFDA01),
 ];
@@ -80,11 +68,6 @@ fn outputs() -> Vec<(String, Vec<u8>)> {
         fleet.register_labels(labeled.labels());
         fleet.register_labels(labeled.labels());
         out.push((
-            format!("paper/{kind}/fleet-raw"),
-            fleet.save(spec.graph()).unwrap(),
-        ));
-        fleet.seal_packed_all();
-        out.push((
             format!("paper/{kind}/fleet-packed"),
             fleet.save(spec.graph()).unwrap(),
         ));
@@ -102,11 +85,6 @@ fn outputs() -> Vec<(String, Vec<u8>)> {
             registry.register_labels(id, &labels).unwrap();
             fleet.register_labels(&labels);
         }
-        out.push((
-            format!("generated/{i}/fleet-raw"),
-            fleet.save(spec.graph()).unwrap(),
-        ));
-        fleet.seal_packed_all();
         let packed = fleet.save(spec.graph()).unwrap();
         packed_files.push((id.file_name(), packed.clone()));
         out.push((format!("generated/{i}/fleet-packed"), packed));

@@ -46,14 +46,18 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
     for (i, (spec, gens)) in generated.specs.iter().zip(&generated.fleets).enumerate() {
         let kind = SchemeKind::ALL[i];
 
-        // the raw oracle: frozen SoA labels, never packed
-        let mut raw = FleetEngine::for_spec(spec, SpecScheme::build(kind, spec.graph()));
+        // the raw oracle: one engine per run over its frozen SoA labels,
+        // never packed
+        let mut raw: Vec<QueryEngine<SpecScheme>> = Vec::new();
         let mut sealed = FleetEngine::for_spec(spec, SpecScheme::build(kind, spec.graph()));
         let mut books: Vec<(RunId, usize)> = Vec::new();
         for g in gens {
             let (labels, _) = label_run(spec, &g.run).unwrap();
-            let rid = raw.register_labels(&labels);
-            sealed.register_labels(&labels);
+            raw.push(QueryEngine::from_labels(
+                &labels,
+                SpecScheme::build(kind, spec.graph()),
+            ));
+            let rid = sealed.register_labels(&labels);
             if g.run.vertex_count() > 0 {
                 books.push((rid, g.run.vertex_count()));
             }
@@ -70,10 +74,13 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
                 )
             })
             .collect();
-        let want = raw.answer_batch(&probes).unwrap();
+        let want: Vec<bool> = probes
+            .iter()
+            .map(|&(run, u, v)| raw[run.index()].answer(u, v))
+            .collect();
 
         // resident packed columns
-        assert_eq!(sealed.seal_packed_all(), gens.len(), "{kind}");
+        assert_eq!(sealed.stats().packed, gens.len(), "{kind}");
         assert_eq!(sealed.answer_batch(&probes).unwrap(), want, "{kind}: resident packed");
 
         // the copying reload of the aligned snapshot: views over its own copy
@@ -84,8 +91,8 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
         // the zero-copy bind over the same buffer
         let (view, _, profile) = FleetEngine::load_shared(Arc::from(bytes.as_slice())).unwrap();
         assert_eq!(
-            (profile.zero_copy_runs, profile.decoded_runs),
-            (gens.len(), 0),
+            profile.zero_copy_runs,
+            gens.len(),
             "{kind}: an all-packed snapshot must bind every run zero-copy"
         );
         assert_eq!(view.answer_batch(&probes).unwrap(), want, "{kind}: zero-copy reload");
@@ -95,7 +102,8 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
 /// The sharded serve loop, with every shard opening a filtered snapshot
 /// directory and churning under a budget that evicts continuously: every
 /// reload is a zero-copy fault-in, and the served answers stay
-/// byte-identical to a flat raw-label registry probed directly.
+/// byte-identical to a flat registry probed directly, whose answers in
+/// turn match raw per-run engines over the same labels.
 #[test]
 fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
     const SHARDS: usize = 3;
@@ -115,7 +123,7 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
         })
         .collect();
 
-    // --- oracle: one flat registry of raw labels, probed directly -------
+    // --- oracle: a flat registry probed directly, and raw engines -------
     let mut oracle = ServiceRegistry::new();
     let mut spec_ids = Vec::with_capacity(SPECS);
     for (i, spec) in specs.iter().enumerate() {
@@ -142,6 +150,30 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
     }
     let traffic = mixed_spec_probes(&books, TOTAL_PROBES, 0x4E10_D201);
     let expected = oracle.answer_batch(&traffic).unwrap();
+    let engines: Vec<Vec<QueryEngine<SpecScheme>>> = specs
+        .iter()
+        .zip(&frozen_labels)
+        .enumerate()
+        .map(|(i, (spec, runs))| {
+            let kind = SchemeKind::ALL[i % SchemeKind::ALL.len()];
+            runs.iter()
+                .map(|labels| {
+                    QueryEngine::from_labels(labels, SpecScheme::build(kind, spec.graph()))
+                })
+                .collect()
+        })
+        .collect();
+    let raw: Vec<bool> = traffic
+        .iter()
+        .map(|&(spec, run, u, v)| {
+            let s = spec_ids.iter().position(|&id| id == spec).unwrap();
+            engines[s][run.index()].answer(u, v)
+        })
+        .collect();
+    assert_eq!(
+        expected, raw,
+        "the flat registry diverged from the raw engines"
+    );
 
     // --- the snapshot directory the shards serve from: all runs sealed --
     let mut store = ServiceRegistry::new();

@@ -79,7 +79,7 @@ fn restored_fleet_is_byte_identical_over_a_million_probes() {
         let bytes = fleet.save(spec.graph()).unwrap();
         let (restored, graph) = FleetEngine::load(&bytes).unwrap();
         assert_eq!(graph.edges(), spec.graph().edges(), "{kind}");
-        assert_eq!(restored.stats().frozen, 8, "{kind}");
+        assert_eq!(restored.stats().packed, 8, "{kind}");
         assert_eq!(
             restored.answer_batch(&probes).unwrap(),
             original,
@@ -240,15 +240,16 @@ proptest! {
         let bytes = fleet.save(spec.graph()).unwrap();
         let r = SnapshotReader::parse(&bytes).unwrap();
 
-        // a RUN_COLUMNS segment claiming 2^40 vertices over 3 bytes
+        // a packed-columns header claiming 2^40 vertices (the count sits
+        // at bytes 24..32 of the header)
         let mut w = snapshot::SnapshotWriter::new();
         let mut dropped_one_run = snapshot::SnapshotWriter::new();
         let mut seen_run = false;
         for &(kind, payload) in r.segments() {
-            if kind == snapshot::seg::RUN_COLUMNS && !seen_run {
+            if kind == snapshot::seg::PACKED_COLUMNS_ALIGNED && !seen_run {
                 seen_run = true;
-                let mut evil = Vec::new();
-                snapshot::put_varint(&mut evil, 1 << 40);
+                let mut evil = payload.to_vec();
+                evil[24..32].copy_from_slice(&(1u64 << 40).to_le_bytes());
                 w.push(kind, evil);
                 // and separately: drop the segment entirely
                 continue;
@@ -256,10 +257,10 @@ proptest! {
             w.push(kind, payload.to_vec());
             dropped_one_run.push(kind, payload.to_vec());
         }
-        prop_assert!(matches!(
-            FleetEngine::load(&w.finish()),
-            Err(FormatError::Oversized { .. })
-        ));
+        prop_assert_eq!(
+            FleetEngine::load(&w.finish()).err(),
+            Some(FormatError::Malformed("packed columns exceed the vertex id space"))
+        );
         prop_assert!(matches!(
             FleetEngine::load(&dropped_one_run.finish()),
             Err(FormatError::Malformed(_))
@@ -267,26 +268,19 @@ proptest! {
 
         // a structurally valid run whose origin column points outside the
         // specification graph must be rejected at load, not panic on the
-        // first skeleton probe
-        let mut forged_origin = snapshot::SnapshotWriter::new();
-        let mut seen_run = false;
-        for &(kind, payload) in r.segments() {
-            if kind == snapshot::seg::RUN_COLUMNS && !seen_run {
-                seen_run = true;
-                let mut evil = Vec::new();
-                snapshot::put_varint(&mut evil, 1); // one vertex
-                for coord in [1u32, 1, 1, 9_999] {
-                    evil.extend_from_slice(&coord.to_le_bytes());
-                }
-                forged_origin.push(kind, evil);
-            } else {
-                forged_origin.push(kind, payload.to_vec());
-            }
-        }
-        prop_assert!(matches!(
-            FleetEngine::load(&forged_origin.finish()),
-            Err(FormatError::Malformed(_))
-        ));
+        // first skeleton probe; nothing validates origins at registration,
+        // so a fleet saves such a run as it is
+        let (mut forged, _, _) = eight_run_fleet(&spec, SchemeKind::Bfs, &[]);
+        forged.register_labels(&[RunLabel {
+            q1: 1,
+            q2: 1,
+            q3: 1,
+            origin: ModuleId(9_999),
+        }]);
+        prop_assert_eq!(
+            FleetEngine::load(&forged.save(spec.graph()).unwrap()).err(),
+            Some(FormatError::Malformed("run origin outside the specification graph"))
+        );
     }
 }
 
