@@ -23,20 +23,21 @@ usage:
   wfp query    <spec.xml> <run.xml> --pairs FILE [--threads N] [--scheme KIND]
   wfp ingest   <spec.xml> <events.log> [--scheme KIND] [--probe FILE]
   wfp fleet    <spec.xml> [run.xml...] [--runs K] [--target VERTICES]
-               [--seed S] [--probes M] [--threads N] [--scheme KIND]
-               [--save DIR] [--load DIR]
+               [--seed S] [--probes M] [--scheme KIND] [--save DIR]
+               [--load DIR]
   wfp registry [spec.xml...] [--gen-specs N] [--runs K] [--target VERTICES]
                [--seed S] [--probes M] [--budget BYTES] [--save DIR]
                [--load DIR]
   wfp serve    [spec.xml...] [--gen-specs N] [--runs K] [--target VERTICES]
                [--seed S] [--probes M] [--clients C] [--arrival PATTERN]
                [--budget BYTES] [--load DIR] [--batch N] [--window US]
-               [--queue N] [--threads N] [--shards S] [--mix MIX]
+               [--queue N] [--shards S] [--mix MIX]
 
 KIND: tcm | bfs | dfs | treecover | chain | 2hop   (default: tcm)
 vertex names use the paper's numbered form, e.g. b3 = third execution of b;
 --pairs batch mode reads one \"from to\" query per line (#-comments allowed)
-and answers all of them through the batched query engine.
+and answers all of them through the batched query engine, split over
+--threads N worker threads (default 1).
 ingest replays a line-based event log through the live (query-while-running)
 engine; --probe FILE schedules \"EVENT# FROM TO\" queries answered mid-stream,
 then re-checked against the frozen labels when the run completes.
@@ -59,11 +60,12 @@ requests in flight, coalesced into batches of up to --batch probes per
 --window US microseconds. PATTERN is closed (default; submit as answers
 return) or open-loop uniform:RATE | poisson:RATE | bursty:RATE:BURST in
 probes/second; an open-loop submit beyond --queue sheds its probe
-(reported as dropped). --shards S runs S shard workers, each owning the
-registry slice a deterministic spec-affinity plan routes to it (probes
-fan out by spec and reassemble in submission order); --budget splits
-evenly across the shards. MIX is uniform (default) or zipf:SKEW, which skews the spec
-mix onto a hot head shard. The report shows sustained throughput, the
+(reported as dropped). --shards S runs S shard workers, one thread each
+and the server's only parallelism, each owning the registry slice a
+deterministic spec-affinity plan routes to it (probes fan out by spec and
+reassemble in submission order); --budget splits evenly across the
+shards. MIX is uniform (default) or zipf:SKEW, which skews the spec mix
+onto a hot head shard. The report shows sustained throughput, the
 batch-size histogram, per-shard load and per-scheme p50/p99 serve
 latency.
 A flag the command does not take is an error.";
@@ -84,11 +86,11 @@ fn accepted_flags(command: &str) -> Option<&'static str> {
         "ingest" => "scheme probe",
         "label" => "scheme o",
         "query" => "scheme pairs threads",
-        "fleet" => "runs target seed probes threads scheme save load",
+        "fleet" => "runs target seed probes scheme save load",
         "registry" => "gen-specs runs target seed probes budget save load",
         "serve" => {
             "gen-specs runs target seed probes clients arrival budget load batch window \
-             queue threads shards mix"
+             queue shards mix"
         }
         _ => return None,
     })
@@ -262,7 +264,6 @@ fn run() -> Result<String, CliError> {
                     seed: args.num("seed")?.unwrap_or(0),
                     probes: args.num("probes")?.unwrap_or(1_000_000),
                     scheme: args.scheme()?,
-                    threads: args.num("threads")?.unwrap_or(1),
                     save: save.as_deref(),
                     load: load.as_deref(),
                 },
@@ -323,7 +324,6 @@ fn run() -> Result<String, CliError> {
                 batch: args.num("batch")?.unwrap_or(8192),
                 window_us: args.num("window")?.unwrap_or(200),
                 queue: args.num("queue")?.unwrap_or(1024),
-                threads: args.num("threads")?.unwrap_or(1),
                 shards: args.num("shards")?.unwrap_or(1),
                 mix,
             })

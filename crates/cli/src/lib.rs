@@ -613,8 +613,6 @@ pub struct FleetOpts<'a> {
     /// Skeleton scheme (ignored under `--load`: the snapshot records its
     /// own scheme).
     pub scheme: SchemeKind,
-    /// Worker threads for the probe batch.
-    pub threads: usize,
     /// Persist the serving fleet to `DIR/fleet.wfps` after answering.
     pub save: Option<&'a Path>,
     /// Restore the fleet from `DIR/fleet.wfps` instead of labeling runs.
@@ -622,7 +620,7 @@ pub struct FleetOpts<'a> {
 }
 
 /// `wfp fleet <spec.xml> [run.xml...] [--runs K] [--target N] [--seed S]
-///  [--probes M] [--scheme KIND] [--threads T] [--save DIR] [--load DIR]`
+///  [--probes M] [--scheme KIND] [--save DIR] [--load DIR]`
 ///
 /// The multi-run serving scenario the paper's amortization argument is
 /// about: load the given runs and/or generate `K` more (all conforming to
@@ -738,11 +736,7 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
         })
         .collect();
     let started = std::time::Instant::now();
-    let answers = if opts.threads > 1 {
-        fleet.answer_batch_parallel(&traffic, opts.threads)?
-    } else {
-        fleet.answer_batch(&traffic)?
-    };
+    let answers = fleet.answer_batch(&traffic)?;
     let elapsed = started.elapsed().as_secs_f64();
 
     let stats = fleet.stats();
@@ -750,7 +744,7 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
     writeln!(
         out,
         "{} probes: {} reachable; {} context-only, {} skeleton \
-         ({} probes, {} memo hits); {:.3} ms ({:.0} q/s, {} threads)",
+         ({} probes, {} memo hits); {:.3} ms ({:.0} q/s)",
         traffic.len(),
         reachable,
         stats.engine.context_only,
@@ -759,7 +753,6 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
         stats.engine.memo_hits,
         elapsed * 1e3,
         traffic.len() as f64 / elapsed.max(1e-9),
-        opts.threads.max(1),
     )?;
     write!(
         out,
@@ -1065,8 +1058,6 @@ pub struct ServeOpts<'a> {
     pub window_us: u64,
     /// Most requests admitted and not yet answered (`--queue`).
     pub queue: usize,
-    /// Worker threads per registry batch (`--threads`).
-    pub threads: usize,
     /// Shard workers, each owning its own registry (`--shards`).
     pub shards: usize,
     /// Spec mix across the probe traffic (`--mix uniform|zipf:SKEW`).
@@ -1076,7 +1067,7 @@ pub struct ServeOpts<'a> {
 /// `wfp serve [spec.xml...] [--gen-specs N] [--runs K] [--target V]
 ///  [--seed S] [--probes M] [--clients C] [--arrival PATTERN]
 ///  [--budget BYTES] [--load DIR] [--batch N] [--window US] [--queue N]
-///  [--threads T] [--shards S] [--mix uniform|zipf:SKEW]`
+///  [--shards S] [--mix uniform|zipf:SKEW]`
 ///
 /// The request/response serving loop: one registry per `--shards` worker
 /// of [`mod@wfp_skl::serve`], built (or lazily opened with `--load`) to
@@ -1167,17 +1158,15 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         max_batch: opts.batch.max(1),
         window: std::time::Duration::from_micros(opts.window_us),
         queue_cap: opts.queue.max(1),
-        threads: opts.threads.max(1),
     };
     let shards = opts.shards.max(1);
     writeln!(
         out,
-        "config: batch {} / window {} us / queue {} / {} registry thread(s), \
+        "config: batch {} / window {} us / queue {}, \
          {shards} shard(s), {} client(s), arrival {:?}, mix {:?}",
         config.max_batch,
         opts.window_us,
         config.queue_cap,
-        config.threads,
         opts.clients.max(1),
         opts.arrival,
         opts.mix,
@@ -1636,7 +1625,6 @@ mod tests {
             seed: 7,
             probes,
             scheme: SchemeKind::Bfs,
-            threads: 1,
             save: None,
             load: None,
         }
@@ -1646,17 +1634,11 @@ mod tests {
     fn fleet_serves_loaded_and_generated_runs() {
         let (sp, rp) = write_paper_files();
         let paths = [rp.as_path(), rp.as_path()];
-        for threads in [1usize, 4] {
-            let opts = FleetOpts {
-                threads,
-                ..fleet_opts(&paths, 6, 5_000)
-            };
-            let out = cmd_fleet(&sp, &opts).unwrap();
-            assert!(out.contains("8 runs (2 loaded, 6 generated)"), "{out}");
-            assert!(out.contains("5000 probes"), "{out}");
-            assert!(out.contains("shared once"), "{out}");
-            assert!(out.contains("8 independent engines would hold"), "{out}");
-        }
+        let out = cmd_fleet(&sp, &fleet_opts(&paths, 6, 5_000)).unwrap();
+        assert!(out.contains("8 runs (2 loaded, 6 generated)"), "{out}");
+        assert!(out.contains("5000 probes"), "{out}");
+        assert!(out.contains("shared once"), "{out}");
+        assert!(out.contains("8 independent engines would hold"), "{out}");
     }
 
     #[test]
@@ -1806,7 +1788,6 @@ mod tests {
             batch: 512,
             window_us: 100,
             queue: 256,
-            threads: 1,
             shards: 1,
             mix: wfp_gen::SpecMix::Uniform,
         }

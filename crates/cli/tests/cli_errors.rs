@@ -285,6 +285,56 @@ fn fleet_rejects_the_retired_packed_flag_and_saves_nothing() {
     assert!(!dir.exists(), "a rejected command wrote {save}");
 }
 
+/// `fleet` and `serve` answer each batch on one thread (a server's
+/// parallelism is its shard count), so they take no `--threads`; `query
+/// --pairs` keeps it.
+#[test]
+fn fleet_rejects_the_retired_threads_flag_and_saves_nothing() {
+    let (sp, _) = paper_files();
+    let dir = tmp("threads-snap");
+    let _ = fs::remove_dir_all(&dir);
+    let sp = sp.to_str().unwrap();
+    let save = dir.to_str().unwrap();
+    assert_unknown_flag(
+        &[
+            "fleet",
+            sp,
+            "--runs",
+            "2",
+            "--target",
+            "40",
+            "--probes",
+            "10",
+            "--threads",
+            "4",
+            "--save",
+            save,
+        ],
+        "--threads",
+    );
+    assert!(!dir.exists(), "a rejected command wrote {save}");
+}
+
+#[test]
+fn serve_rejects_the_retired_threads_flag() {
+    assert_unknown_flag(
+        &[
+            "serve",
+            "--gen-specs",
+            "2",
+            "--runs",
+            "1",
+            "--target",
+            "50",
+            "--probes",
+            "10",
+            "--threads",
+            "2",
+        ],
+        "--threads",
+    );
+}
+
 #[test]
 fn registry_rejects_a_mistyped_flag() {
     assert_unknown_flag(

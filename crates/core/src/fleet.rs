@@ -47,7 +47,7 @@
 //! assert_eq!(fleet.stats().packed, 2);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use wfp_model::{RunVertexId, Specification};
 use wfp_speclabel::SpecIndex;
@@ -486,126 +486,6 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
         Ok(out)
     }
 
-    /// [`answer_batch`](Self::answer_batch) with frozen-run groups
-    /// fanned out over up to `threads` worker threads (every worker reads
-    /// the **same** skeleton and shared memo); live-run groups are answered
-    /// on the calling thread, since an in-flight run's column store is
-    /// single-threaded by design. Results are byte-identical to the
-    /// sequential path, in input order.
-    pub fn answer_batch_parallel(
-        &self,
-        probes: &[(RunId, RunVertexId, RunVertexId)],
-        threads: usize,
-    ) -> Result<Vec<bool>, FleetError>
-    where
-        S: Sync,
-    {
-        const MAX_SHARDS: usize = 64;
-        let groups = self.group(probes)?;
-        // One work unit: a frozen run, its slice of the flattened pair
-        // buffer, and its disjoint window of the answer buffer.
-        type WorkUnit<'a, 'b> = (
-            &'a PackedRunHandle,
-            &'b [(RunVertexId, RunVertexId)],
-            &'b mut [bool],
-        );
-        // Workers only ever touch frozen runs (a live run's column store is
-        // deliberately single-threaded), so partition into plain handle
-        // references and the worker closures never see the registry itself.
-        let mut frozen_groups: Vec<(&PackedRunHandle, Vec<usize>)> = Vec::new();
-        let mut live_groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (slot_idx, idxs) in groups {
-            match &self.slots[slot_idx] {
-                Slot::Frozen(h) => frozen_groups.push((h, idxs)),
-                Slot::Live(_) => live_groups.push((slot_idx, idxs)),
-                Slot::Evicted => unreachable!("group() filtered"),
-            }
-        }
-        // Split each run's probe list into bounded chunks, so one hot run
-        // (skewed traffic, or a single-run fleet) still fans out across
-        // workers instead of degrading to one work unit per run.
-        const UNIT: usize = 1 << 15;
-        let units: Vec<(&PackedRunHandle, &[usize])> = frozen_groups
-            .iter()
-            .flat_map(|&(handle, ref idxs)| idxs.chunks(UNIT).map(move |c| (handle, c)))
-            .collect();
-        let threads = threads.clamp(1, MAX_SHARDS).min(units.len().max(1));
-        let mut out = vec![false; probes.len()];
-
-        if threads <= 1 || units.len() <= 1 {
-            // not worth a fan-out: fall back to the sequential path
-            return self.answer_batch(probes);
-        }
-
-        // Frozen units run permuted: their pairs are flattened unit by
-        // unit into one contiguous buffer, each unit gets the matching
-        // disjoint window of one preallocated answer buffer, and workers
-        // sweep straight into their window — no per-unit allocation, no
-        // result funnel. A single linear pass scatters the permuted
-        // answers back to input order afterwards.
-        let total: usize = units.iter().map(|(_, idxs)| idxs.len()).sum();
-        let mut flat_pairs: Vec<(RunVertexId, RunVertexId)> = Vec::with_capacity(total);
-        for (_, idxs) in &units {
-            flat_pairs.extend(idxs.iter().map(|&i| (probes[i].1, probes[i].2)));
-        }
-        let mut perm_out = vec![false; total];
-        let skeleton = self.ctx.skeleton();
-        let memo = self.ctx.probe_memo();
-        {
-            let mut work: Vec<WorkUnit<'_, '_>> = Vec::with_capacity(units.len());
-            let mut pairs_rest: &[(RunVertexId, RunVertexId)] = &flat_pairs;
-            let mut out_rest: &mut [bool] = &mut perm_out;
-            for &(handle, idxs) in &units {
-                let (unit_pairs, pr) = pairs_rest.split_at(idxs.len());
-                let (window, or) = out_rest.split_at_mut(idxs.len());
-                pairs_rest = pr;
-                out_rest = or;
-                work.push((handle, unit_pairs, window));
-            }
-            let queue = Mutex::new(work.into_iter());
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let queue = &queue;
-                    scope.spawn(move || loop {
-                        let claimed = queue.lock().expect("work queue poisoned").next();
-                        let Some((handle, unit_pairs, window)) = claimed else {
-                            break;
-                        };
-                        let (c, s) =
-                            sweep_into_slice(handle.columns(), skeleton, memo, unit_pairs, window);
-                        handle.count(c, s);
-                    });
-                }
-
-                // live groups on the calling thread, overlapping the workers
-                let mut pairs: Vec<(RunVertexId, RunVertexId)> = Vec::new();
-                let mut buf: Vec<bool> = Vec::new();
-                for (slot_idx, idxs) in &live_groups {
-                    let live = match &self.slots[*slot_idx] {
-                        Slot::Live(l) => l,
-                        _ => unreachable!("partitioned as live"),
-                    };
-                    pairs.clear();
-                    pairs.extend(idxs.iter().map(|&i| (probes[i].1, probes[i].2)));
-                    buf.clear();
-                    let (c, s) = answer_into(live.columns(), skeleton, memo, &pairs, &mut buf);
-                    live.count(c, s);
-                    for (&i, &ans) in idxs.iter().zip(&buf) {
-                        out[i] = ans;
-                    }
-                }
-            });
-        }
-        let mut offset = 0;
-        for (_, idxs) in &units {
-            for (&i, &ans) in idxs.iter().zip(&perm_out[offset..]) {
-                out[i] = ans;
-            }
-            offset += idxs.len();
-        }
-        Ok(out)
-    }
-
     // ---------------- accounting ---------------------------------------
 
     /// Shared-vs-duplicated memory accounting plus aggregate counters. The
@@ -930,26 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fleet_batches_are_deterministic() {
-        let spec = paper_spec();
-        for kind in [SchemeKind::Tcm, SchemeKind::Bfs] {
-            let labels = labels(&spec, kind);
-            let mut fleet =
-                FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
-            let ids: Vec<RunId> = (0..10).map(|_| fleet.register_labels(&labels)).collect();
-            let mut probes = Vec::new();
-            for &id in &ids {
-                probes.extend(all_probes(id, labels.len()));
-            }
-            let sequential = fleet.answer_batch(&probes).unwrap();
-            for threads in [2usize, 4, 16] {
-                let parallel = fleet.answer_batch_parallel(&probes, threads).unwrap();
-                assert_eq!(parallel, sequential, "{kind}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn mixed_frozen_and_live_runs_serve_under_one_context() {
         let spec = paper_spec();
         let m = |n: &str| spec.module_by_name(n).unwrap();
@@ -1223,17 +1083,10 @@ mod tests {
                 "{kind}: packing did not shrink resident bytes"
             );
 
-            // Scalar, batch and parallel all byte-identical to raw, and the
-            // first batch is accounted in full.
+            // Scalar and batch both byte-identical to raw, and the first
+            // batch is accounted in full.
             assert_eq!(fleet.answer_batch(&probes).unwrap(), baseline, "{kind}");
             assert_eq!(fleet.stats().engine.total(), probes.len() as u64);
-            for threads in [2usize, 4] {
-                assert_eq!(
-                    fleet.answer_batch_parallel(&probes, threads).unwrap(),
-                    baseline,
-                    "{kind}, {threads} threads"
-                );
-            }
             let (_, u, v) = probes[7];
             assert_eq!(fleet.answer(ids[1], u, v).unwrap(), baseline[7]);
 

@@ -795,51 +795,6 @@ impl<'s> ServiceRegistry<'s> {
         Ok(out)
     }
 
-    /// [`answer_batch`](Self::answer_batch) with each fleet's shard fanned
-    /// out over up to `threads` worker threads
-    /// ([`FleetEngine::answer_batch_parallel`]); `threads <= 1` falls back
-    /// to the sequential path. Answers are byte-identical to
-    /// [`answer_batch`](Self::answer_batch), in input order — this is the
-    /// wide-batch drive path of the [`serve`](mod@crate::serve) shard workers.
-    pub fn answer_batch_parallel(
-        &mut self,
-        probes: &[(SpecId, RunId, RunVertexId, RunVertexId)],
-        threads: usize,
-    ) -> Result<Vec<bool>, RegistryError> {
-        if threads <= 1 {
-            return self.answer_batch(probes);
-        }
-        type Shard = (Vec<(RunId, RunVertexId, RunVertexId)>, Vec<usize>);
-        let mut order: Vec<usize> = Vec::new();
-        let mut shards: FxHashMap<usize, Shard> = FxHashMap::default();
-        for (pos, &(spec, run, u, v)) in probes.iter().enumerate() {
-            let idx = self.index_of(spec)?;
-            let (sub, positions) = shards.entry(idx).or_insert_with(|| {
-                order.push(idx);
-                (Vec::new(), Vec::new())
-            });
-            sub.push((run, u, v));
-            positions.push(pos);
-        }
-        let mut out = vec![false; probes.len()];
-        for idx in order {
-            let (sub, positions) = shards.remove(&idx).expect("sharded above");
-            self.touch(idx)?;
-            let spec = self.slots[idx].id;
-            let answers = {
-                let (fleet, _) = self.resident_mut(idx);
-                fleet
-                    .answer_batch_parallel(&sub, threads)
-                    .map_err(|error| RegistryError::Fleet { spec, error })
-            };
-            self.enforce_budget(Some(idx))?;
-            for (pos, a) in positions.into_iter().zip(answers?) {
-                out[pos] = a;
-            }
-        }
-        Ok(out)
-    }
-
     /// Forces `spec` resident (the lazy load a first probe would do),
     /// then re-enforces the budget against the *other* fleets.
     pub fn ensure_resident(&mut self, spec: SpecId) -> Result<(), RegistryError> {
@@ -1782,21 +1737,6 @@ mod tests {
         assert_eq!(reg.stats().evictions, 0);
         assert_eq!(reg.stats().lazy_loads, 1, "only A's load counts");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The parallel batch drive answers byte-identically to the sequential
-    /// one, including under eviction churn.
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let spec = paper_spec();
-        let (mut reg, ids, oracles) = build_registry(&spec, None);
-        let probes = mixed_probes(&ids, 5);
-        let want = expected(&probes, &ids, &oracles);
-        assert_eq!(reg.answer_batch_parallel(&probes, 4).unwrap(), want);
-        assert_eq!(reg.answer_batch_parallel(&probes, 1).unwrap(), want);
-        reg.set_budget(Some(0)).unwrap();
-        assert_eq!(reg.answer_batch_parallel(&probes, 3).unwrap(), want);
-        assert!(reg.stats().evictions > 0);
     }
 
     /// Regression for the budget-accounting drift: `open_dir` seeds each

@@ -26,8 +26,7 @@
 //! Each worker coalesces its sub-batches inside an **admission window**
 //! (flush at [`ServeConfig::max_batch`] probes or after
 //! [`ServeConfig::window`], whichever first) into one mixed-spec batch and
-//! drives [`ServiceRegistry::answer_batch`] /
-//! [`answer_batch_parallel`](ServiceRegistry::answer_batch_parallel).
+//! answers it with [`ServiceRegistry::answer_batch`] on its own thread.
 //! Because every spec lives on exactly one shard, each shard's memo and
 //! scratch state stay local to its worker.
 //!
@@ -110,7 +109,9 @@ pub type Probe = (SpecId, RunId, RunVertexId, RunVertexId);
 // ======================================================================
 
 /// Admission-loop tuning knobs. The defaults favor throughput at serving
-/// batch sizes; latency-sensitive deployments shrink `window`.
+/// batch sizes; latency-sensitive deployments shrink `window`. Threads
+/// are not among them: each shard answers its windows on its own worker,
+/// so a server's parallelism is its shard count.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Flush a shard's admission window once this many probes have
@@ -124,9 +125,6 @@ pub struct ServeConfig {
     /// queue holds as many entries, so a push from an admitted request
     /// waits only behind control messages, never behind other requests.
     pub queue_cap: usize,
-    /// Worker threads per registry batch (`<= 1` serves sequentially; more
-    /// drives [`ServiceRegistry::answer_batch_parallel`]).
-    pub threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -135,7 +133,6 @@ impl Default for ServeConfig {
             max_batch: 8192,
             window: Duration::from_micros(200),
             queue_cap: 1024,
-            threads: 1,
         }
     }
 }
@@ -1145,7 +1142,6 @@ fn shard_loop(
                     batch,
                     probes,
                     cause,
-                    &config,
                     &stats,
                     &slab,
                     &progress,
@@ -1199,7 +1195,6 @@ fn service_shard_batch(
     batch: Vec<SubBatch>,
     probes: usize,
     cause: Flush,
-    config: &ServeConfig,
     stats: &Arc<Mutex<ServeStats>>,
     slab: &TicketSlab,
     progress: &Cell<usize>,
@@ -1211,7 +1206,7 @@ fn service_shard_batch(
     for b in &batch {
         flat.extend_from_slice(b.probes.as_slice());
     }
-    let combined = registry.answer_batch_parallel(flat, config.threads);
+    let combined = registry.answer_batch(flat);
     let replied = Instant::now();
 
     let mut s = stats.lock().expect("stats lock");
@@ -1242,7 +1237,7 @@ fn service_shard_batch(
             // verdict
             drop(s);
             for b in &batch {
-                let verdict = registry.answer_batch_parallel(b.probes.as_slice(), config.threads);
+                let verdict = registry.answer_batch(b.probes.as_slice());
                 let replied = Instant::now();
                 let mut s = stats.lock().expect("stats lock");
                 match verdict {

@@ -196,7 +196,6 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
         max_batch: 2048,
         window: Duration::from_micros(150),
         queue_cap: 64,
-        threads: 2,
     };
     let builder_plan = plan.clone();
     let builder_dir = dir.clone();

@@ -153,7 +153,6 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
         max_batch: 4096,
         window: Duration::from_micros(150),
         queue_cap: 64,
-        threads: 2, // drive the parallel batch path too
     };
     let frozen_for_builder = frozen_labels.clone();
     let live_for_builder = live_events.clone();
@@ -351,7 +350,6 @@ fn sharded_served_answers_equal_direct_registry_under_pressure_and_freezes() {
         max_batch: 4096,
         window: Duration::from_micros(150),
         queue_cap: 64,
-        threads: 2, // drive the parallel batch path inside each shard too
     };
     let frozen_for_builder = frozen_labels.clone();
     let live_for_builder = live_events.clone();
@@ -517,7 +515,6 @@ fn sharded_failures_stay_on_their_shard() {
             max_batch: 2048,
             window: Duration::from_micros(100),
             queue_cap: 64,
-            threads: 1,
         },
         SHARDS,
         plan,
@@ -638,7 +635,6 @@ fn sharded_shutdown_while_submitting_is_drained_and_typed() {
             max_batch: 512,
             window: Duration::from_micros(100),
             queue_cap: 128,
-            threads: 1,
         },
         SHARDS,
         plan,
