@@ -6,10 +6,10 @@
 //! (b) epoch-stamped VisitMap reuse vs. a freshly allocated visited buffer
 //!     per BFS query — the substrate choice behind the BFS scheme.
 
-use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::VecDeque;
 use std::hint::black_box;
+use std::time::Duration;
 use wfp_bench::experiments::synthetic_spec;
 use wfp_gen::{generate_run_with_target, random_pairs, GeneratedRun};
 use wfp_skl::LabeledRun;
@@ -18,8 +18,12 @@ use wfp_speclabel::{SchemeKind, SpecIndex, SpecScheme};
 fn bench_shortcircuit(c: &mut Criterion) {
     let spec = synthetic_spec(100);
     let GeneratedRun { run, .. } = generate_run_with_target(&spec, 3, 25_600);
-    let labeled =
-        LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()), &run).unwrap();
+    let labeled = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Bfs, spec.graph()),
+        &run,
+    )
+    .unwrap();
     let pairs = random_pairs(&run, 2048, 9);
 
     let mut group = c.benchmark_group("predicate_shortcircuit");

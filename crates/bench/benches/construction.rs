@@ -1,9 +1,9 @@
 //! Criterion bench: SKL run-labeling construction time (Figure 13's
 //! default setting) across run sizes — the expected shape is linear.
 
-use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Duration;
 use wfp_bench::experiments::qblast_spec;
 use wfp_gen::{generate_run_with_target, GeneratedRun};
 use wfp_skl::LabeledRun;

@@ -1,9 +1,9 @@
 //! Criterion bench: πr query latency (Figures 14/17) — TCM+SKL must be
 //! flat in run size; BFS+SKL pays the spec search only on +-LCA queries.
 
-use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Duration;
 use wfp_bench::experiments::qblast_spec;
 use wfp_gen::{generate_run_with_target, random_pairs, GeneratedRun};
 use wfp_skl::LabeledRun;

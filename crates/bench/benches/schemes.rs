@@ -3,9 +3,9 @@
 //! (§8.2: "SKL is insensitive to the quality of the labeling scheme used
 //! to label the specification").
 
-use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Duration;
 use wfp_bench::experiments::synthetic_spec;
 use wfp_gen::{generate_run_with_target, random_pairs, GeneratedRun};
 use wfp_skl::LabeledRun;

@@ -109,11 +109,19 @@ pub fn table2(opts: &ReproOptions) -> Table {
         let scheme = SpecScheme::build(SchemeKind::Tcm, spec.graph());
         std::hint::black_box(LabeledRun::build(&spec, scheme, &run).unwrap());
     });
-    let labeled_tcm =
-        LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run).unwrap();
+    let labeled_tcm = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Tcm, spec.graph()),
+        &run,
+    )
+    .unwrap();
     let (tcm_skl_q, _) = query_time_ms(&labeled_tcm, &pairs);
-    let labeled_bfs =
-        LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()), &run).unwrap();
+    let labeled_bfs = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Bfs, spec.graph()),
+        &run,
+    )
+    .unwrap();
     let (bfs_skl_q, _) = query_time_ms(&labeled_bfs, &pairs);
 
     // bare TCM / BFS on the run
@@ -194,8 +202,7 @@ pub fn fig12(opts: &ReproOptions) -> Table {
         let mut actual = 0usize;
         let samples = opts.runs_per_point();
         for s in 0..samples {
-            let GeneratedRun { run, .. } =
-                generate_run_with_target(&spec, 1000 + s as u64, size);
+            let GeneratedRun { run, .. } = generate_run_with_target(&spec, 1000 + s as u64, size);
             let labeled = LabeledRun::build(
                 &spec,
                 SpecScheme::build(SchemeKind::Tcm, spec.graph()),
@@ -246,7 +253,10 @@ pub fn fig13(opts: &ReproOptions) -> Table {
             size_label(size),
             fmt_f64(default_ms),
             fmt_f64(with_plan_ms),
-            format!("{:.0}%", 100.0 * (default_ms - with_plan_ms) / default_ms.max(1e-9)),
+            format!(
+                "{:.0}%",
+                100.0 * (default_ms - with_plan_ms) / default_ms.max(1e-9)
+            ),
         ]);
     }
     t.note("expected shape: both linear; plan+context computation dominates the default cost");
@@ -436,14 +446,10 @@ pub fn fig18(opts: &ReproOptions) -> Table {
     for size in opts.ladder() {
         let mut cells = vec![size_label(size)];
         for (n, spec) in &specs {
-            let GeneratedRun { run, .. } =
-                generate_run_with_target(spec, 41 + *n as u64, size);
-            let labeled = LabeledRun::build(
-                spec,
-                SpecScheme::build(SchemeKind::Tcm, spec.graph()),
-                &run,
-            )
-            .unwrap();
+            let GeneratedRun { run, .. } = generate_run_with_target(spec, 41 + *n as u64, size);
+            let labeled =
+                LabeledRun::build(spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run)
+                    .unwrap();
             let bits = labeled.fixed_label_bits() as f64
                 + (*n as f64 * *n as f64) / (2.0 * run.vertex_count() as f64);
             cells.push(fmt_f64(bits));
@@ -497,12 +503,9 @@ pub fn fig20(opts: &ReproOptions) -> Table {
         let mut cells = vec![size_label(size)];
         for (_, spec) in &specs {
             let GeneratedRun { run, .. } = generate_run_with_target(spec, 47, size);
-            let labeled = LabeledRun::build(
-                spec,
-                SpecScheme::build(SchemeKind::Bfs, spec.graph()),
-                &run,
-            )
-            .unwrap();
+            let labeled =
+                LabeledRun::build(spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()), &run)
+                    .unwrap();
             let pairs = random_pairs(&run, opts.query_count().min(300_000), 17);
             let (ms, _) = query_time_ms(&labeled, &pairs);
             cells.push(fmt_f64(ms * 1e6));

@@ -76,9 +76,12 @@ mod tests {
         use wfp_speclabel::{SchemeKind, SpecScheme};
         let spec = paper_spec();
         let run = paper_run(&spec);
-        let labeled =
-            LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run)
-                .unwrap();
+        let labeled = LabeledRun::build(
+            &spec,
+            SpecScheme::build(SchemeKind::Tcm, spec.graph()),
+            &run,
+        )
+        .unwrap();
         let pairs: Vec<_> = run.vertices().map(|v| (run.source(), v)).collect();
         let (ms, positive) = query_time_ms(&labeled, &pairs);
         assert!(ms >= 0.0);

@@ -249,10 +249,8 @@ fn run() -> Result<String, CliError> {
         }
         "fleet" => {
             let spec = args.path(0)?;
-            let run_paths: Vec<PathBuf> =
-                args.positional[1..].iter().map(PathBuf::from).collect();
-            let refs: Vec<&std::path::Path> =
-                run_paths.iter().map(PathBuf::as_path).collect();
+            let run_paths: Vec<PathBuf> = args.positional[1..].iter().map(PathBuf::from).collect();
+            let refs: Vec<&std::path::Path> = run_paths.iter().map(PathBuf::as_path).collect();
             let save = args.flags.get("save").map(PathBuf::from);
             let load = args.flags.get("load").map(PathBuf::from);
             cmd_fleet(
@@ -271,8 +269,7 @@ fn run() -> Result<String, CliError> {
         }
         "registry" => {
             let spec_paths: Vec<PathBuf> = args.positional.iter().map(PathBuf::from).collect();
-            let refs: Vec<&std::path::Path> =
-                spec_paths.iter().map(PathBuf::as_path).collect();
+            let refs: Vec<&std::path::Path> = spec_paths.iter().map(PathBuf::as_path).collect();
             let save = args.flags.get("save").map(PathBuf::from);
             let load = args.flags.get("load").map(PathBuf::from);
             let budget = args
@@ -294,8 +291,7 @@ fn run() -> Result<String, CliError> {
         }
         "serve" => {
             let spec_paths: Vec<PathBuf> = args.positional.iter().map(PathBuf::from).collect();
-            let refs: Vec<&std::path::Path> =
-                spec_paths.iter().map(PathBuf::as_path).collect();
+            let refs: Vec<&std::path::Path> = spec_paths.iter().map(PathBuf::as_path).collect();
             let load = args.flags.get("load").map(PathBuf::from);
             let budget = args
                 .flags

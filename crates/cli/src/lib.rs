@@ -40,8 +40,8 @@ use wfp_model::io::{
 use wfp_model::{Run, RunVertexId, Specification};
 use wfp_skl::fleet::{FleetEngine, RunId};
 use wfp_skl::{
-    construct_plan_with_stats, label_run, LabeledRun, LiveRun, QueryEngine, QueryPath,
-    RunLabel, SpecContext, SpecId,
+    construct_plan_with_stats, label_run, LabeledRun, LiveRun, QueryEngine, QueryPath, RunLabel,
+    SpecContext, SpecId,
 };
 use wfp_speclabel::{SchemeKind, SpecScheme};
 
@@ -49,14 +49,14 @@ use wfp_speclabel::{SchemeKind, SpecScheme};
 pub type CliError = Box<dyn std::error::Error>;
 
 fn load_spec(path: &Path) -> Result<Specification, CliError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Ok(spec_from_xml(&text)?)
 }
 
 fn load_run(path: &Path, spec: &Specification) -> Result<Run, CliError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     Ok(run_from_xml(&text, spec)?)
 }
 
@@ -350,8 +350,8 @@ struct Probe {
 /// and `#`-comments skipped), FROM/TO in streaming numbered-name form
 /// (`b3` = third execution of module `b`, in event order).
 fn parse_probes(path: &Path) -> Result<Vec<Probe>, CliError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let mut probes = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -362,11 +362,7 @@ fn parse_probes(path: &Path) -> Result<Vec<Probe>, CliError> {
         match (it.next(), it.next(), it.next(), it.next()) {
             (Some(at), Some(from), Some(to), None) => {
                 let at: usize = at.parse().map_err(|_| {
-                    format!(
-                        "{}:{}: bad event number {at:?}",
-                        path.display(),
-                        lineno + 1
-                    )
+                    format!("{}:{}: bad event number {at:?}", path.display(), lineno + 1)
                 })?;
                 probes.push(Probe {
                     at,
@@ -425,11 +421,11 @@ pub fn cmd_ingest(
     let total = events.len();
 
     let answer_due = |live: &LiveRun<SpecScheme>,
-                          vertex_by_name: &std::collections::HashMap<String, RunVertexId>,
-                          processed: usize,
-                          out: &mut String,
-                          answered: &mut Vec<(usize, RunVertexId, RunVertexId, bool)>,
-                          next_probe: &mut usize|
+                      vertex_by_name: &std::collections::HashMap<String, RunVertexId>,
+                      processed: usize,
+                      out: &mut String,
+                      answered: &mut Vec<(usize, RunVertexId, RunVertexId, bool)>,
+                      next_probe: &mut usize|
      -> Result<(), CliError> {
         while *next_probe < probes.len()
             && (probes[*next_probe].at <= processed
@@ -448,7 +444,11 @@ pub fn cmd_ingest(
             };
             let (u, v) = (resolve(&p.from)?, resolve(&p.to)?);
             let ans = live.answer(u, v);
-            let late = if p.at > total { " (clamped to end)" } else { "" };
+            let late = if p.at > total {
+                " (clamped to end)"
+            } else {
+                ""
+            };
             writeln!(out, "@{} {} {} {ans}{late}", p.at.min(total), p.from, p.to)?;
             answered.push((p.at, u, v, ans));
             *next_probe += 1;
@@ -456,7 +456,14 @@ pub fn cmd_ingest(
         Ok(())
     };
 
-    answer_due(&live, &vertex_by_name, 0, &mut out, &mut answered, &mut next_probe)?;
+    answer_due(
+        &live,
+        &vertex_by_name,
+        0,
+        &mut out,
+        &mut answered,
+        &mut next_probe,
+    )?;
     for (i, ev) in events.iter().enumerate() {
         let result = match *ev {
             RunEvent::BeginGroup(sg) => live.begin_group(sg),
@@ -473,7 +480,14 @@ pub fn cmd_ingest(
             RunEvent::EndGroup => live.end_group(),
         };
         result.map_err(|e| format!("event #{} ({ev:?}): {e}", i + 1))?;
-        answer_due(&live, &vertex_by_name, i + 1, &mut out, &mut answered, &mut next_probe)?;
+        answer_due(
+            &live,
+            &vertex_by_name,
+            i + 1,
+            &mut out,
+            &mut answered,
+            &mut next_probe,
+        )?;
     }
 
     let stats = live.stats();
@@ -644,8 +658,7 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
             );
         }
         let path = dir.join(FLEET_SNAPSHOT_FILE);
-        let bytes = fs::read(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let bytes = fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let started = std::time::Instant::now();
         let (fleet, graph) =
             FleetEngine::load(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -707,7 +720,10 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
             opts.gen_runs,
             opts.scheme,
         )?;
-        writeln!(out, "labeled in {label_ms:.1} ms (no per-run skeletons built)")?;
+        writeln!(
+            out,
+            "labeled in {label_ms:.1} ms (no per-run skeletons built)"
+        )?;
         fleet
     };
 
@@ -769,12 +785,10 @@ pub fn cmd_fleet(spec_path: &Path, opts: &FleetOpts<'_>) -> Result<String, CliEr
     )?;
 
     if let Some(dir) = opts.save {
-        fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         let bytes = fleet.save(spec.graph())?;
         let path = dir.join(FLEET_SNAPSHOT_FILE);
-        fs::write(&path, &bytes)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        fs::write(&path, &bytes).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         write!(
             out,
             "\nsaved fleet snapshot to {} ({}: 1 spec record + warm memo + {} run segments)",
@@ -859,8 +873,7 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
     let mut registry: ServiceRegistry<'static> = if let Some(dir) = opts.load {
         if !opts.spec_paths.is_empty() || opts.gen_specs > 0 {
             return Err(
-                "--load opens a saved registry; drop the spec.xml arguments and --gen-specs"
-                    .into(),
+                "--load opens a saved registry; drop the spec.xml arguments and --gen-specs".into(),
             );
         }
         let registry = ServiceRegistry::open_dir(dir, opts.budget)
@@ -924,9 +937,7 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
             specs.len(),
             opts.spec_paths.len(),
             opts.gen_specs,
-            SchemeKind::ALL
-                .map(|k| k.to_string())
-                .join("/"),
+            SchemeKind::ALL.map(|k| k.to_string()).join("/"),
         )?;
         writeln!(out, "labeled + registered in {label_ms:.1} ms")?;
         registry
@@ -1436,7 +1447,11 @@ mod tests {
         assert!(cmd_validate(Path::new("/nonexistent/x.xml")).is_err());
         // a single-module spec is degenerate but legal (source == sink)
         let p1 = tmp("one.xml");
-        fs::write(&p1, "<specification><module id=\"0\" name=\"a\"/></specification>").unwrap();
+        fs::write(
+            &p1,
+            "<specification><module id=\"0\" name=\"a\"/></specification>",
+        )
+        .unwrap();
         assert!(cmd_validate(&p1).is_ok());
     }
 
@@ -1517,10 +1532,14 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains(":2:"), "{err}");
-        assert!(
-            cmd_query_batch(&sp, &rp, Path::new("/nonexistent/p.txt"), SchemeKind::Tcm, 1)
-                .is_err()
-        );
+        assert!(cmd_query_batch(
+            &sp,
+            &rp,
+            Path::new("/nonexistent/p.txt"),
+            SchemeKind::Tcm,
+            1
+        )
+        .is_err());
     }
 
     #[test]
@@ -1557,7 +1576,10 @@ mod tests {
         // every scheduled probe produced an @EVENT# line
         let probe_lines = out.lines().filter(|l| l.starts_with('@')).count();
         assert!(probe_lines > 0, "{out}");
-        assert!(out.contains(&format!("{probe_lines}/{probe_lines} probes agree")), "{out}");
+        assert!(
+            out.contains(&format!("{probe_lines}/{probe_lines} probes agree")),
+            "{out}"
+        );
 
         // ingest without probes also works
         let out = cmd_ingest(&sp, &ep, SchemeKind::Bfs, None).unwrap();
@@ -1644,7 +1666,9 @@ mod tests {
     #[test]
     fn fleet_rejects_empty_and_bad_inputs() {
         let (sp, _) = write_paper_files();
-        let err = cmd_fleet(&sp, &fleet_opts(&[], 0, 10)).unwrap_err().to_string();
+        let err = cmd_fleet(&sp, &fleet_opts(&[], 0, 10))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("no runs"), "{err}");
         assert!(cmd_fleet(Path::new("/nonexistent/spec.xml"), &fleet_opts(&[], 2, 10)).is_err());
     }

@@ -48,7 +48,10 @@ fn assert_fails(args: &[&str], needles: &[&str]) {
         String::from_utf8_lossy(&out.stdout)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.trim().is_empty(), "{args:?} must print a diagnostic");
+    assert!(
+        !stderr.trim().is_empty(),
+        "{args:?} must print a diagnostic"
+    );
     for needle in needles {
         assert!(
             stderr.contains(needle),
@@ -65,7 +68,13 @@ fn query_pairs_malformed_line() {
     let pf = tmp("arity.txt");
     fs::write(&pf, "b1 c1\nb1 b2 b3\n").unwrap();
     assert_fails(
-        &["query", sp.to_str().unwrap(), rp.to_str().unwrap(), "--pairs", pf.to_str().unwrap()],
+        &[
+            "query",
+            sp.to_str().unwrap(),
+            rp.to_str().unwrap(),
+            "--pairs",
+            pf.to_str().unwrap(),
+        ],
         &[":2:", "expected two vertex names"],
     );
 }
@@ -77,7 +86,13 @@ fn query_pairs_out_of_range_vertex() {
     // b9 is out of range: the paper run executes b three times
     fs::write(&pf, "b1 b9\n").unwrap();
     assert_fails(
-        &["query", sp.to_str().unwrap(), rp.to_str().unwrap(), "--pairs", pf.to_str().unwrap()],
+        &[
+            "query",
+            sp.to_str().unwrap(),
+            rp.to_str().unwrap(),
+            "--pairs",
+            pf.to_str().unwrap(),
+        ],
         &["b9", "no vertex"],
     );
 }
@@ -88,7 +103,13 @@ fn query_pairs_empty_file() {
     let pf = tmp("empty.txt");
     fs::write(&pf, "# nothing but comments\n\n").unwrap();
     assert_fails(
-        &["query", sp.to_str().unwrap(), rp.to_str().unwrap(), "--pairs", pf.to_str().unwrap()],
+        &[
+            "query",
+            sp.to_str().unwrap(),
+            rp.to_str().unwrap(),
+            "--pairs",
+            pf.to_str().unwrap(),
+        ],
         &["no queries"],
     );
 }
@@ -97,7 +118,13 @@ fn query_pairs_empty_file() {
 fn query_pairs_missing_file() {
     let (sp, rp) = paper_files();
     assert_fails(
-        &["query", sp.to_str().unwrap(), rp.to_str().unwrap(), "--pairs", "/nonexistent/p.txt"],
+        &[
+            "query",
+            sp.to_str().unwrap(),
+            rp.to_str().unwrap(),
+            "--pairs",
+            "/nonexistent/p.txt",
+        ],
         &["cannot read"],
     );
 }
@@ -180,7 +207,12 @@ fn ingest_missing_event_log() {
 fn fleet_load_missing_snapshot_dir() {
     let (sp, _) = paper_files();
     assert_fails(
-        &["fleet", sp.to_str().unwrap(), "--load", "/nonexistent/snapdir"],
+        &[
+            "fleet",
+            sp.to_str().unwrap(),
+            "--load",
+            "/nonexistent/snapdir",
+        ],
         &["cannot read", "fleet.wfps"],
     );
 }
@@ -192,7 +224,12 @@ fn fleet_load_rejects_corrupt_snapshot() {
     fs::create_dir_all(&dir).unwrap();
     fs::write(dir.join("fleet.wfps"), b"WFPSgarbage-that-is-not-a-table").unwrap();
     assert_fails(
-        &["fleet", sp.to_str().unwrap(), "--load", dir.to_str().unwrap()],
+        &[
+            "fleet",
+            sp.to_str().unwrap(),
+            "--load",
+            dir.to_str().unwrap(),
+        ],
         &["fleet.wfps"],
     );
 }
@@ -232,7 +269,11 @@ fn fleet_save_load_round_trip_exits_zero() {
         "--save",
         dir.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("saved fleet snapshot"), "{stdout}");
     assert!(dir.join("fleet.wfps").is_file());
@@ -245,7 +286,11 @@ fn fleet_save_load_round_trip_exits_zero() {
         "--load",
         dir.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("restored fleet"), "{stdout}");
     assert!(stdout.contains("3 runs"), "{stdout}");
@@ -381,7 +426,12 @@ fn registry_load_conflicts_with_spec_sources() {
     let (sp, _) = paper_files();
     let dir = tmp("unused-registry");
     assert_fails(
-        &["registry", sp.to_str().unwrap(), "--load", dir.to_str().unwrap()],
+        &[
+            "registry",
+            sp.to_str().unwrap(),
+            "--load",
+            dir.to_str().unwrap(),
+        ],
         &["--load", "spec.xml"],
     );
 }
@@ -419,7 +469,11 @@ fn registry_save_load_round_trip_exits_zero() {
         "--save",
         dir.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("registry: 3 specs"), "{stdout}");
     assert!(stdout.contains("saved registry to"), "{stdout}");
@@ -427,7 +481,11 @@ fn registry_save_load_round_trip_exits_zero() {
     let snapshots = fs::read_dir(&dir)
         .unwrap()
         .filter(|e| {
-            e.as_ref().unwrap().path().extension().is_some_and(|x| x == "wfps")
+            e.as_ref()
+                .unwrap()
+                .path()
+                .extension()
+                .is_some_and(|x| x == "wfps")
         })
         .count();
     assert_eq!(snapshots, 3, "one *.wfps per spec");
@@ -443,7 +501,11 @@ fn registry_save_load_round_trip_exits_zero() {
         "--load",
         dir.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 loaded (lazy)"), "{stdout}");
     assert!(stdout.contains("lazy-loaded"), "{stdout}");
@@ -471,7 +533,11 @@ fn ingest_happy_path_exits_zero() {
         "--probe",
         pp.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("@7 b1 c1 true"), "{stdout}");
 }

@@ -41,7 +41,10 @@ impl BitWriter {
         if width == 0 {
             return;
         }
-        debug_assert!(width == 64 || value < (1u64 << width), "value does not fit width");
+        debug_assert!(
+            width == 64 || value < (1u64 << width),
+            "value does not fit width"
+        );
         let bit = self.len % 64;
         let word = self.len / 64;
         if word >= self.words.len() {
@@ -170,7 +173,19 @@ mod tests {
     #[test]
     fn gamma_round_trip_small_and_large() {
         let mut w = BitWriter::new();
-        let values = [1u64, 2, 3, 4, 7, 8, 100, 1023, 1024, 1_000_000, u32::MAX as u64];
+        let values = [
+            1u64,
+            2,
+            3,
+            4,
+            7,
+            8,
+            100,
+            1023,
+            1024,
+            1_000_000,
+            u32::MAX as u64,
+        ];
         for &v in &values {
             w.write_gamma(v);
         }
@@ -217,7 +232,11 @@ mod tests {
             let (words, len) = w.into_words();
             let mut r = BitReader::new(&words, len);
             for (fixed, value, width) in expected {
-                let got = if fixed { r.read_bits(width) } else { r.read_gamma() };
+                let got = if fixed {
+                    r.read_bits(width)
+                } else {
+                    r.read_gamma()
+                };
                 assert_eq!(got, value);
             }
         }

@@ -192,10 +192,7 @@ pub struct ConstructStats {
 /// Constructs the execution plan and context function for `run`.
 ///
 /// Linear in `|V(R)| + |E(R)|` for a fixed specification (Lemma 5.2).
-pub fn construct_plan(
-    spec: &Specification,
-    run: &Run,
-) -> Result<ExecutionPlan, ConstructError> {
+pub fn construct_plan(spec: &Specification, run: &Run) -> Result<ExecutionPlan, ConstructError> {
     construct_plan_with_stats(spec, run).map(|(plan, _)| plan)
 }
 
@@ -290,8 +287,7 @@ impl<'a> Construction<'a> {
                 None => spec.module_count(),
             };
             expected_vertices[node as usize] = total_vertices - removed;
-            expected_edges[node as usize] =
-                hierarchy.plain_edges(node).len() + children.len();
+            expected_edges[node as usize] = hierarchy.plain_edges(node).len() + children.len();
         }
 
         // ---- load the run, classify every edge, collect leaf seeds ----
@@ -344,7 +340,10 @@ impl<'a> Construction<'a> {
     }
 
     fn fail(&self, sg: Option<SubgraphId>, issue: Issue) -> ConstructError {
-        ConstructError::NonConforming { subgraph: sg, issue }
+        ConstructError::NonConforming {
+            subgraph: sg,
+            issue,
+        }
     }
 
     fn execute(mut self) -> Result<(ExecutionPlan, ConstructStats), ConstructError> {
@@ -986,17 +985,23 @@ mod tests {
             b.set_context(v(name), node);
         }
         let expected = b.finish(run.vertex_count()).unwrap();
-        assert!(plan.equivalent(&expected, &spec), "plans must match Figure 7/8");
+        assert!(
+            plan.equivalent(&expected, &spec),
+            "plans must match Figure 7/8"
+        );
     }
 
     #[test]
     fn pair_table_lookup_and_last_wins() {
-        let t: PairTable<u32> = PairTable::build(
-            [((3, 4), 0u32), ((1, 2), 1), ((3, 4), 2), ((0, 7), 3)].into_iter(),
-        );
+        let t: PairTable<u32> =
+            PairTable::build([((3, 4), 0u32), ((1, 2), 1), ((3, 4), 2), ((0, 7), 3)].into_iter());
         assert_eq!(t.get((1, 2)), Some(1));
         assert_eq!(t.get((0, 7)), Some(3));
-        assert_eq!(t.get((3, 4)), Some(2), "duplicate pairs keep the last entry");
+        assert_eq!(
+            t.get((3, 4)),
+            Some(2),
+            "duplicate pairs keep the last entry"
+        );
         assert_eq!(t.get((4, 3)), None);
         assert_eq!(t.get((9, 9)), None);
         let empty: PairTable<u32> = PairTable::build(std::iter::empty());

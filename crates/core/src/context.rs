@@ -37,7 +37,7 @@
 //!   behind one lock. The old design probed such pairs directly every
 //!   time.
 
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 use wfp_graph::FxHashMap;
@@ -158,8 +158,7 @@ impl SharedMemo {
             }
         } else {
             let key = (a as u64) << 32 | b as u64;
-            let shard =
-                &self.shards[(a.wrapping_mul(0x9E37_79B1) ^ b) as usize % MISS_SHARDS];
+            let shard = &self.shards[(a.wrapping_mul(0x9E37_79B1) ^ b) as usize % MISS_SHARDS];
             if let Some(&ans) = shard.lock().expect("memo shard poisoned").get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return ans;
@@ -618,7 +617,11 @@ mod tests {
         let tcm = SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()));
         assert!(tcm.probe_memo().is_none());
         assert!(tcm.reaches(0, 0));
-        assert_eq!(tcm.memo().probes(), 0, "constant-time probes bypass the memo");
+        assert_eq!(
+            tcm.memo().probes(),
+            0,
+            "constant-time probes bypass the memo"
+        );
         assert!(tcm.memory_bytes() > 0);
         // the SpecIndex impl answers identically to the wrapped skeleton
         use wfp_speclabel::SpecIndex as _;

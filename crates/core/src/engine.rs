@@ -444,7 +444,8 @@ impl<S: SpecIndex> QueryEngine<S> {
                 }
             });
         }
-        self.run.count(ctx_total.into_inner(), skel_total.into_inner());
+        self.run
+            .count(ctx_total.into_inner(), skel_total.into_inner());
         out
     }
 
@@ -631,9 +632,7 @@ pub(crate) fn sweep_into_slice<C: ColumnGather, S: SpecIndex>(
     assert_eq!(out.len(), pairs.len(), "output slice must match the batch");
     let bound = cols.origin_bound() as usize;
     let mut table = match bound.checked_mul(bound) {
-        Some(cells)
-            if cells <= PROBE_TABLE_CAP && cells <= pairs.len().saturating_mul(BLOCK) =>
-        {
+        Some(cells) if cells <= PROBE_TABLE_CAP && cells <= pairs.len().saturating_mul(BLOCK) => {
             vec![0u8; cells]
         }
         _ => Vec::new(),
@@ -649,7 +648,11 @@ pub(crate) fn sweep_into_slice<C: ColumnGather, S: SpecIndex>(
         for (i, slot) in out[off..off + k].iter_mut().enumerate() {
             *slot = (answer_mask >> i) & 1 == 1;
         }
-        let live = if k == BLOCK { u64::MAX } else { (1u64 << k) - 1 };
+        let live = if k == BLOCK {
+            u64::MAX
+        } else {
+            (1u64 << k) - 1
+        };
         let mut rest = !resolved_mask & live;
         skel += u64::from(rest.count_ones());
         while rest != 0 {
@@ -854,7 +857,11 @@ mod tests {
             let sweep = engine.answer_batch(&pairs);
             let after_sweep = engine.stats();
             let mut buf = Vec::new();
-            assert_eq!(engine.answer_batch_scalar_into(&pairs, &mut buf), sweep, "{kind}");
+            assert_eq!(
+                engine.answer_batch_scalar_into(&pairs, &mut buf),
+                sweep,
+                "{kind}"
+            );
             let after_scalar = engine.stats();
             assert_eq!(
                 after_scalar.context_only - after_sweep.context_only,

@@ -360,9 +360,10 @@ impl<'s, S: SpecIndex> FleetEngine<'s, S> {
 
     /// Ids of all active (non-evicted) runs, in registration order.
     pub fn run_ids(&self) -> impl Iterator<Item = RunId> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            (!matches!(s, Slot::Evicted)).then_some(RunId(i as u32))
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| (!matches!(s, Slot::Evicted)).then_some(RunId(i as u32)))
     }
 
     /// Number of active runs.
@@ -769,9 +770,7 @@ mod tests {
 
     fn all_probes(run: RunId, n: usize) -> Vec<(RunId, RunVertexId, RunVertexId)> {
         (0..n as u32)
-            .flat_map(|u| {
-                (0..n as u32).map(move |v| (run, RunVertexId(u), RunVertexId(v)))
-            })
+            .flat_map(|u| (0..n as u32).map(move |v| (run, RunVertexId(u), RunVertexId(v))))
             .collect()
     }
 
@@ -780,8 +779,7 @@ mod tests {
         let spec = paper_spec();
         for &kind in &SchemeKind::ALL {
             let labels = labels(&spec, kind);
-            let mut fleet =
-                FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
+            let mut fleet = FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
             let k = 8;
             let ids: Vec<RunId> = (0..k).map(|_| fleet.register_labels(&labels)).collect();
 
@@ -813,7 +811,8 @@ mod tests {
     fn mixed_frozen_and_live_runs_serve_under_one_context() {
         let spec = paper_spec();
         let m = |n: &str| spec.module_by_name(n).unwrap();
-        let mut fleet = FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()));
+        let mut fleet =
+            FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()));
         let paper = paper_run(&spec);
         let frozen = fleet.register_labels(&labels(&spec, SchemeKind::Bfs));
         let pv = |name: &str| wfp_model::fixtures::paper_vertex(&spec, &paper, name);
@@ -893,8 +892,7 @@ mod tests {
             let run = fleet.live_mut(id).unwrap();
             // a complete (if minimal) paper run: stream everything
             let subgraphs = ["F1", "L2", "L1", "F2"];
-            let [f1, l2, l1, f2] =
-                subgraphs.map(|n| paper_subgraph(&spec, n));
+            let [f1, l2, l1, f2] = subgraphs.map(|n| paper_subgraph(&spec, n));
             run.exec(m("a")).unwrap();
             run.begin_group(f1).unwrap();
             run.begin_copy().unwrap();
@@ -984,8 +982,7 @@ mod tests {
         let spec = paper_spec();
         for &kind in &SchemeKind::ALL {
             let labels = labels(&spec, kind);
-            let mut fleet =
-                FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
+            let mut fleet = FleetEngine::for_spec(&spec, SpecScheme::build(kind, spec.graph()));
             let ids: Vec<RunId> = (0..4).map(|_| fleet.register_labels(&labels)).collect();
             fleet.evict(ids[1]).unwrap();
             // answer traffic so decision counters and the memo are warm
@@ -1013,7 +1010,11 @@ mod tests {
             // decision counters carried across the restart
             assert_eq!(stats.engine.total(), 2 * probes.len() as u64);
             // the warm memo came back verbatim
-            assert_eq!(loaded.context().memo().warm_entries(), warm_before, "{kind}");
+            assert_eq!(
+                loaded.context().memo().warm_entries(),
+                warm_before,
+                "{kind}"
+            );
             // new registrations continue after the restored slots
             let mut loaded = loaded;
             let fresh = loaded.register_labels(&labels);

@@ -105,11 +105,7 @@ pub fn label_run(spec: &Specification, run: &Run) -> Result<(Vec<RunLabel>, u32)
 }
 
 /// The core of φr: labels from a known plan (no skeleton involved).
-fn labels_from_plan(
-    spec: &Specification,
-    run: &Run,
-    plan: &ExecutionPlan,
-) -> (Vec<RunLabel>, u32) {
+fn labels_from_plan(spec: &Specification, run: &Run, plan: &ExecutionPlan) -> (Vec<RunLabel>, u32) {
     let enc = generate_three_orders(plan, spec);
     let labels = run
         .vertices()
@@ -140,11 +136,7 @@ impl<S: SpecIndex> LabeledRun<S> {
     /// Labels `run` end to end: constructs the execution plan and context
     /// (§5), builds the three orders (§4.3) and assigns labels (Algorithm
     /// 2). Linear time in the size of the run.
-    pub fn build(
-        spec: &Specification,
-        skeleton: S,
-        run: &Run,
-    ) -> Result<Self, ConstructError> {
+    pub fn build(spec: &Specification, skeleton: S, run: &Run) -> Result<Self, ConstructError> {
         Self::build_with_stats(spec, skeleton, run).map(|(l, _)| l)
     }
 
@@ -252,7 +244,9 @@ impl<S: SpecIndex> LabeledRun<S> {
     /// Self-delimiting (Elias-γ) size of one vertex's label.
     pub fn gamma_label_bits(&self, v: RunVertexId) -> usize {
         let l = self.label(v);
-        gamma_bits(l.q1 as u64) + gamma_bits(l.q2 as u64) + gamma_bits(l.q3 as u64)
+        gamma_bits(l.q1 as u64)
+            + gamma_bits(l.q2 as u64)
+            + gamma_bits(l.q3 as u64)
             + self.origin_width()
     }
 
@@ -439,7 +433,8 @@ impl EncodedLabels {
         // labels, so a count the declared bit stream cannot hold must be
         // rejected here — before it sizes a decode allocation. Each label
         // costs exactly 3 q-widths + 1 origin width (both ≥ 1 bit).
-        let label_bits = 3 * bits_for(n_plus as u64) + bits_for(n_g.saturating_sub(1).max(1) as u64);
+        let label_bits =
+            3 * bits_for(n_plus as u64) + bits_for(n_g.saturating_sub(1).max(1) as u64);
         if count as u64 * label_bits as u64 > bit_len as u64 {
             return Err(DecodeError::TruncatedPayload {
                 declared_bits: count as usize * label_bits,
@@ -534,8 +529,7 @@ mod tests {
         // n+ = 9, n_G = 8: 3*ceil(log2 10) + ceil(log2 8) = 3*4 + 3 = 15
         assert_eq!(labeled.nonempty_plus_count(), 9);
         assert_eq!(labeled.fixed_label_bits(), 15);
-        let bound = 3.0 * (run.vertex_count() as f64).log2()
-            + (spec.module_count() as f64).log2();
+        let bound = 3.0 * (run.vertex_count() as f64).log2() + (spec.module_count() as f64).log2();
         assert!((labeled.fixed_label_bits() as f64) <= bound + 4.0);
         // average variable-size ≤ a couple of bits of the fixed size for
         // this tiny run, and strictly positive
@@ -548,7 +542,10 @@ mod tests {
         let (_spec, run, labeled) = labeled_paper_run(SchemeKind::Bfs);
         let enc = labeled.encode();
         assert_eq!(enc.len(), run.vertex_count());
-        assert_eq!(enc.bit_len(), run.vertex_count() * labeled.fixed_label_bits());
+        assert_eq!(
+            enc.bit_len(),
+            run.vertex_count() * labeled.fixed_label_bits()
+        );
         let decoded = enc.decode();
         assert_eq!(decoded, labeled.labels().to_vec());
     }
@@ -638,8 +635,12 @@ mod tests {
         let spec = paper_spec();
         let run = paper_run(&spec);
         let plan = crate::construct::construct_plan(&spec, &run).unwrap();
-        let a = LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run)
-            .unwrap();
+        let a = LabeledRun::build(
+            &spec,
+            SpecScheme::build(SchemeKind::Tcm, spec.graph()),
+            &run,
+        )
+        .unwrap();
         let b = LabeledRun::build_with_plan(
             &spec,
             SpecScheme::build(SchemeKind::Tcm, spec.graph()),

@@ -54,11 +54,11 @@ pub use construct::{
 pub use context::{PackedRunHandle, RunHandle, SharedMemo, SpecContext};
 pub use engine::{predicate_memo, EngineStats, QueryEngine, SoaColumns, SoaLabels};
 pub use fleet::{FleetEngine, FleetError, FleetLoadProfile, FleetStats, RunId};
-pub use live::{LiveRun, LiveStats};
 pub use label::{
     label_run, predicate, predicate_traced, DecodeError, EncodedLabels, LabeledRun, QueryPath,
     RunLabel,
 };
+pub use live::{LiveRun, LiveStats};
 pub use online::{OnlineError, OnlineLabeler};
 pub use orders::{generate_three_orders, ContextEncoding};
 pub use origin::{compute_origins, compute_origins_numbered, OriginError};

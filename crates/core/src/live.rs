@@ -234,7 +234,8 @@ impl<'s, S: SpecIndex> LiveRun<'s, S> {
             out,
         );
         self.context_only.set(self.context_only.get() + ctx);
-        self.skeleton_queries.set(self.skeleton_queries.get() + skel);
+        self.skeleton_queries
+            .set(self.skeleton_queries.get() + skel);
         out
     }
 
@@ -246,7 +247,8 @@ impl<'s, S: SpecIndex> LiveRun<'s, S> {
     /// Folds one externally-evaluated batch's decision counts into the
     /// run's counters (the fleet path).
     pub(crate) fn count(&self, context_only: u64, skeleton: u64) {
-        self.context_only.set(self.context_only.get() + context_only);
+        self.context_only
+            .set(self.context_only.get() + context_only);
         self.skeleton_queries
             .set(self.skeleton_queries.get() + skeleton);
     }

@@ -476,7 +476,8 @@ impl<'s, S: SpecIndex> OnlineLabeler<'s, S> {
     /// Completes the run and extracts the offline scheme's exact integer
     /// labels (positions in the three orders) plus `n⁺`.
     pub fn freeze(self) -> Result<(Vec<RunLabel>, u32), OnlineError> {
-        self.freeze_into_parts().map(|(labels, n_plus, _)| (labels, n_plus))
+        self.freeze_into_parts()
+            .map(|(labels, n_plus, _)| (labels, n_plus))
     }
 
     /// Whether the run could freeze right now: every scope closed and the
@@ -654,7 +655,10 @@ mod tests {
         let h1 = ol.exec(m("h")).unwrap();
 
         assert!(ol.at_root());
-        assert!(ol.reaches(fv1, fv2), "earlier loop copy reaches later fork copies");
+        assert!(
+            ol.reaches(fv1, fv2),
+            "earlier loop copy reaches later fork copies"
+        );
         assert!(!ol.reaches(fv2, fv3), "parallel fork copies");
         assert!(ol.reaches(d1, h1));
         assert!(!ol.reaches(g1, e1));
@@ -676,8 +680,7 @@ mod tests {
         use crate::label::predicate;
         let spec = paper_spec();
         let run = paper_run(&spec);
-        let offline =
-            crate::label::LabeledRun::build(&spec, scheme(&spec), &run).unwrap();
+        let offline = crate::label::LabeledRun::build(&spec, scheme(&spec), &run).unwrap();
 
         // stream the same structure (see paper_run_streams_and_freezes)
         let m = |n: &str| spec.module_by_name(n).unwrap();
@@ -687,7 +690,9 @@ mod tests {
         let l2 = paper_subgraph(&spec, "L2");
         let mut ol = OnlineLabeler::new(&spec, scheme(&spec));
         let mut ids = Vec::new(); // online vertex per offline vertex name
-        let push = |ol: &mut OnlineLabeler<SpecScheme>, name: &str, ids: &mut Vec<(String, RunVertexId)>| {
+        let push = |ol: &mut OnlineLabeler<SpecScheme>,
+                    name: &str,
+                    ids: &mut Vec<(String, RunVertexId)>| {
             let v = ol.exec(m(name)).unwrap();
             ids.push((name.to_string(), v));
         };
@@ -791,6 +796,9 @@ mod tests {
         ol.begin_copy().unwrap();
         assert!(matches!(ol.freeze(), Err(OnlineError::RunStillOpen)));
         let ol = OnlineLabeler::new(&spec, scheme(&spec));
-        assert!(matches!(ol.freeze(), Err(OnlineError::IncompleteCopy { .. })));
+        assert!(matches!(
+            ol.freeze(),
+            Err(OnlineError::IncompleteCopy { .. })
+        ));
     }
 }

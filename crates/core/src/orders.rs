@@ -128,7 +128,11 @@ mod tests {
         let run = paper_run(&spec);
         let plan = construct_plan(&spec, &run).unwrap();
         let enc = generate_three_orders(&plan, &spec);
-        assert_eq!(enc.positions(plan.root()), (1, 1, 1), "Figure 9: x1 = (1,1,1)");
+        assert_eq!(
+            enc.positions(plan.root()),
+            (1, 1, 1),
+            "Figure 9: x1 = (1,1,1)"
+        );
 
         let names = run.numbered_names(&spec);
         let ctx: FxHashMap<&str, u32> = names
@@ -144,7 +148,11 @@ mod tests {
         // parallel F2 copies flip in O2 only
         let (f2a, f2b, f2c) = enc.positions(ctx["f2"]);
         let (f3a, f3b, f3c) = enc.positions(ctx["f3"]);
-        assert_eq!((f2a < f3a), (f2c < f3c), "O1 and O3 agree for fork siblings");
+        assert_eq!(
+            (f2a < f3a),
+            (f2c < f3c),
+            "O1 and O3 agree for fork siblings"
+        );
         assert_eq!((f2a < f3a), !(f2b < f3b), "O2 flips for fork siblings");
     }
 
@@ -158,8 +166,9 @@ mod tests {
         let enc = generate_three_orders(&plan, &spec);
         let anc = Ancestry::build(plan.tree(), plan.root());
         let flags = plan.nonempty_plus_flags();
-        let nodes: Vec<u32> =
-            (0..plan.node_count() as u32).filter(|&x| flags[x as usize]).collect();
+        let nodes: Vec<u32> = (0..plan.node_count() as u32)
+            .filter(|&x| flags[x as usize])
+            .collect();
         for &x in &nodes {
             for &y in &nodes {
                 if x == y {

@@ -181,7 +181,9 @@ impl PackedColumnsView {
             let base = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
             let width = u32::from(payload[at + 4]);
             if width > 32 {
-                return Err(FormatError::Malformed("packed column width exceeds 32 bits"));
+                return Err(FormatError::Malformed(
+                    "packed column width exceeds 32 bits",
+                ));
             }
             let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
             if u64::from(base) + mask > u64::from(u32::MAX) {
@@ -337,7 +339,11 @@ impl PackedColumnsView {
     /// Decodes back to raw `u32` columns — byte-identical to the columns
     /// that were packed.
     pub fn unpack(&self) -> SoaLabels {
-        let col = |c: ViewCol| (0..self.len).map(|i| self.col_get(c, i)).collect::<Vec<u32>>();
+        let col = |c: ViewCol| {
+            (0..self.len)
+                .map(|i| self.col_get(c, i))
+                .collect::<Vec<u32>>()
+        };
         SoaLabels::from_raw_columns(
             col(self.cols[0]),
             col(self.cols[1]),
@@ -520,7 +526,8 @@ mod tests {
     fn paper_columns(kind: SchemeKind) -> SoaLabels {
         let spec = paper_spec();
         let run = paper_run(&spec);
-        let labeled = LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run).unwrap();
+        let labeled =
+            LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run).unwrap();
         SoaLabels::from_labels(labeled.labels())
     }
 
@@ -703,8 +710,8 @@ mod tests {
             let mut framed = vec![0u8; 16];
             framed.extend_from_slice(bytes);
             framed.extend_from_slice(&[0u8; 8]);
-            let framed = PackedColumnsView::bind(Arc::from(framed), 16, bytes.len())
-                .map(|v| v.unpack());
+            let framed =
+                PackedColumnsView::bind(Arc::from(framed), 16, bytes.len()).map(|v| v.unpack());
             assert_eq!(
                 exact.as_ref().err(),
                 framed.as_ref().err(),
@@ -766,15 +773,12 @@ mod tests {
         // 3), so the honest bound is 6 and 7 and 4 are in range but wrong.
         let mut bad = good.clone();
         bad[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mismatch = FormatError::Malformed("aligned origin bound does not match the stored column");
+        let mismatch =
+            FormatError::Malformed("aligned origin bound does not match the stored column");
         assert_eq!(both(&bad).unwrap_err(), mismatch);
-        let synth = SoaLabels::from_raw_columns(
-            vec![0, 1, 2],
-            vec![0, 1, 2],
-            vec![2, 1, 0],
-            vec![3, 5, 3],
-        )
-        .expect("equal lengths");
+        let synth =
+            SoaLabels::from_raw_columns(vec![0, 1, 2], vec![0, 1, 2], vec![2, 1, 0], vec![3, 5, 3])
+                .expect("equal lengths");
         let synth_packed = PackedColumnsView::pack(&synth);
         assert_eq!(synth_packed.origin_bound(), 6);
         assert_eq!(synth_packed.widths().3, 2);
@@ -794,7 +798,10 @@ mod tests {
         // Trailing bytes are rejected with the exact surplus.
         let mut bad = good.clone();
         bad.extend_from_slice(&[0u8; 8]);
-        assert_eq!(both(&bad).unwrap_err(), FormatError::TrailingBytes { extra: 8 });
+        assert_eq!(
+            both(&bad).unwrap_err(),
+            FormatError::TrailingBytes { extra: 8 }
+        );
     }
 
     #[test]

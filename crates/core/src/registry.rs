@@ -284,7 +284,9 @@ fn validate_file_name(file: &str) -> Result<(), FormatError> {
         return Err(FormatError::Malformed("unsafe manifest file name"));
     }
     if file.contains("..") {
-        return Err(FormatError::Malformed("manifest file name escapes directory"));
+        return Err(FormatError::Malformed(
+            "manifest file name escapes directory",
+        ));
     }
     if !file.ends_with(".wfps") || file.len() == ".wfps".len() {
         return Err(FormatError::Malformed("manifest file name is not *.wfps"));
@@ -309,7 +311,10 @@ fn read_shared(path: &Path) -> std::io::Result<Arc<[u8]>> {
     let mut bytes: Arc<[u8]> = std::iter::repeat(0).take(len).collect();
     file.read_exact(Arc::get_mut(&mut bytes).expect("a fresh Arc is unshared"))?;
     if file.read(&mut [0])? != 0 {
-        return Err(Error::new(ErrorKind::InvalidData, "file grew while it was read"));
+        return Err(Error::new(
+            ErrorKind::InvalidData,
+            "file grew while it was read",
+        ));
     }
     Ok(bytes)
 }
@@ -1242,10 +1247,7 @@ mod tests {
         (reg, ids, oracles)
     }
 
-    fn mixed_probes(
-        ids: &[SpecId],
-        n: usize,
-    ) -> Vec<(SpecId, RunId, RunVertexId, RunVertexId)> {
+    fn mixed_probes(ids: &[SpecId], n: usize) -> Vec<(SpecId, RunId, RunVertexId, RunVertexId)> {
         let mut probes = Vec::new();
         for u in 0..n as u32 {
             for v in 0..n as u32 {
@@ -1490,10 +1492,7 @@ mod tests {
         // first probes lazily load exactly the specs they touch
         let (p_spec, p_run, p_u, p_v) = probes[0];
         let pos = 0;
-        assert_eq!(
-            loaded.answer(p_spec, p_run, p_u, p_v).unwrap(),
-            want[pos]
-        );
+        assert_eq!(loaded.answer(p_spec, p_run, p_u, p_v).unwrap(), want[pos]);
         assert_eq!(loaded.stats().lazy_loads, 1);
         assert_eq!(loaded.stats().resident, 1);
         // the full mixed batch matches byte-for-byte
@@ -1517,8 +1516,7 @@ mod tests {
         // may even be missing — this shard never looks at it
         let keep = ids[1];
         std::fs::remove_file(dir.join(ids[2].file_name())).unwrap();
-        let mut shard =
-            ServiceRegistry::open_dir_filtered(&dir, None, |id| id == keep).unwrap();
+        let mut shard = ServiceRegistry::open_dir_filtered(&dir, None, |id| id == keep).unwrap();
         assert_eq!(shard.spec_ids().collect::<Vec<_>>(), vec![keep]);
         assert_eq!(shard.stats().resident, 0, "filtered open is still lazy");
         // the kept spec answers byte-identically to the full registry
@@ -1569,8 +1567,18 @@ mod tests {
         // the empty name dies in the count guard (Oversized) rather than
         // name validation — either way a typed error, never acceptance
         let bytes = write_manifest(&[entry("")]);
-        assert!(read_manifest(&bytes).is_err(), "empty name must be rejected");
-        for bad in ["a/b.wfps", "..wfps", "x..y.wfps", "x.txt", ".wfps", "a\\b.wfps"] {
+        assert!(
+            read_manifest(&bytes).is_err(),
+            "empty name must be rejected"
+        );
+        for bad in [
+            "a/b.wfps",
+            "..wfps",
+            "x..y.wfps",
+            "x.txt",
+            ".wfps",
+            "a\\b.wfps",
+        ] {
             let bytes = write_manifest(&[entry(bad)]);
             assert!(
                 matches!(read_manifest(&bytes), Err(FormatError::Malformed(_))),
@@ -1648,7 +1656,10 @@ mod tests {
         // 3. unknown run id mid-batch: the faulty probe is sandwiched so a
         //    healthy shard answers before the failure propagates
         let mut poisoned = probes.clone();
-        poisoned.insert(poisoned.len() / 2, (ids[2], RunId(99), RunVertexId(0), RunVertexId(0)));
+        poisoned.insert(
+            poisoned.len() / 2,
+            (ids[2], RunId(99), RunVertexId(0), RunVertexId(0)),
+        );
         assert!(matches!(
             reg.answer_batch(&poisoned),
             Err(RegistryError::Fleet { spec, error: FleetError::UnknownRun(RunId(99)) })

@@ -466,7 +466,8 @@ struct TicketSlab {
 impl TicketSlab {
     fn new(cap: usize) -> Self {
         let prealloc = cap.min(4096);
-        let slots: Vec<Arc<ReplySlot>> = (0..prealloc).map(|_| Arc::new(ReplySlot::new())).collect();
+        let slots: Vec<Arc<ReplySlot>> =
+            (0..prealloc).map(|_| Arc::new(ReplySlot::new())).collect();
         let free = (0..prealloc as u32).rev().collect();
         TicketSlab {
             inner: Mutex::new(SlabInner { slots, free }),
@@ -521,12 +522,7 @@ impl TicketSlab {
 /// ends the request's admission and either wakes the client or (client
 /// gone) recycles the slot. A request with no probes resolves through one
 /// call with an empty `fill`.
-fn finish_sub(
-    slot: &ReplySlot,
-    idx: u32,
-    slab: &TicketSlab,
-    fill: impl FnOnce(&mut SlotState),
-) {
+fn finish_sub(slot: &ReplySlot, idx: u32, slab: &TicketSlab, fill: impl FnOnce(&mut SlotState)) {
     let mut st = slot.state.lock().expect("slot lock");
     fill(&mut st);
     st.remaining = st.remaining.saturating_sub(1);
@@ -1250,12 +1246,7 @@ fn service_shard_batch(
                     Err(e) => {
                         s.probes_failed += b.probes.len() as u64;
                         drop(s);
-                        fail_sub(
-                            &b.slot,
-                            b.slot_idx,
-                            ServeError::Registry(Arc::new(e)),
-                            slab,
-                        );
+                        fail_sub(&b.slot, b.slot_idx, ServeError::Registry(Arc::new(e)), slab);
                     }
                 }
                 progress.set(progress.get() + 1);
@@ -1897,13 +1888,18 @@ mod tests {
     #[test]
     fn sharded_builder_error_on_one_shard_tears_down_cleanly() {
         let bogus = SpecId(0xDEAD);
-        let err = serve_sharded(ServeConfig::default(), 4, ShardPlan::new(), move |shard, _| {
-            let mut reg = ServiceRegistry::new();
-            if shard == 2 {
-                reg.ensure_resident(bogus)?;
-            }
-            Ok((reg, ()))
-        });
+        let err = serve_sharded(
+            ServeConfig::default(),
+            4,
+            ShardPlan::new(),
+            move |shard, _| {
+                let mut reg = ServiceRegistry::new();
+                if shard == 2 {
+                    reg.ensure_resident(bogus)?;
+                }
+                Ok((reg, ()))
+            },
+        );
         assert!(matches!(
             err.map(|_| ()),
             Err(RegistryError::UnknownSpec(id)) if id == bogus

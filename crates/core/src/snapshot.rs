@@ -385,17 +385,23 @@ impl<'a> Cursor<'a> {
 
     /// Next little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, FormatError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.bytes(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Next little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, FormatError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.bytes(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, FormatError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.bytes(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Next LEB128 varint.
@@ -851,7 +857,10 @@ mod tests {
         let r = SnapshotReader::parse(&bytes).unwrap();
         assert_eq!(r.segments().len(), 3);
         assert_eq!(r.first(7).unwrap(), &[1, 2, 3]);
-        assert_eq!(r.all(7).collect::<Vec<_>>(), vec![&[1u8, 2, 3][..], &[4, 5][..]]);
+        assert_eq!(
+            r.all(7).collect::<Vec<_>>(),
+            vec![&[1u8, 2, 3][..], &[4, 5][..]]
+        );
         assert_eq!(r.first(9).unwrap(), &[] as &[u8]);
         assert_eq!(
             r.first(8).unwrap_err(),

@@ -26,10 +26,10 @@ pub mod specgen;
 pub mod workload;
 
 pub use queries::random_pairs;
-pub use workload::{arrival_offsets_us, spec_mix_indices, Arrival, SpecMix};
 pub use real::{real_workflows, stand_in, RealWorkflow};
 pub use rungen::{
     generate_fleet, generate_registry, generate_run, generate_run_bounded,
     generate_run_with_target, CountDistribution, GeneratedRegistry, GeneratedRun, RunGenConfig,
 };
 pub use specgen::{generate_spec, generate_spec_clamped, GenError, SpecGenConfig};
+pub use workload::{arrival_offsets_us, spec_mix_indices, Arrival, SpecMix};

@@ -108,7 +108,12 @@ mod tests {
             assert_eq!(spec.module_count(), w.modules, "{}", w.name);
             assert_eq!(spec.channel_count(), w.edges, "{}", w.name);
             assert_eq!(spec.hierarchy().size(), w.hierarchy_size, "{}", w.name);
-            assert_eq!(spec.hierarchy().max_depth(), w.hierarchy_depth, "{}", w.name);
+            assert_eq!(
+                spec.hierarchy().max_depth(),
+                w.hierarchy_depth,
+                "{}",
+                w.name
+            );
         }
     }
 

@@ -164,7 +164,10 @@ impl Expander<'_> {
     ) {
         let q = &self.quotients[node as usize];
         let is_fork = matches!(
-            self.spec.hierarchy().subgraph_at(node).map(|sg| self.spec.subgraph(sg).kind),
+            self.spec
+                .hierarchy()
+                .subgraph_at(node)
+                .map(|sg| self.spec.subgraph(sg).kind),
             Some(SubgraphKind::Fork)
         );
         // materialize the quotient's vertices
@@ -263,7 +266,10 @@ pub fn generate_run_bounded(
     };
     let root = ex.pb.add_node(PlanNodeKind::Root);
     ex.expand(spec.hierarchy().root(), root, None, None);
-    let run = ex.rb.finish(spec).expect("generated runs are structurally valid");
+    let run = ex
+        .rb
+        .finish(spec)
+        .expect("generated runs are structurally valid");
     let plan = ex
         .pb
         .finish(run.vertex_count())
@@ -372,7 +378,12 @@ pub fn generate_registry(
         };
         let spec = crate::generate_spec_clamped(&cfg).expect("feasible by construction");
         let fleet_seed = seed ^ (i.wrapping_add(1)).wrapping_mul(0xD134_2543_DE82_EF95);
-        fleets.push(generate_fleet(&spec, fleet_seed, runs_per_spec, target_vertices));
+        fleets.push(generate_fleet(
+            &spec,
+            fleet_seed,
+            runs_per_spec,
+            target_vertices,
+        ));
         specs.push(spec);
     }
     GeneratedRegistry { specs, fleets }

@@ -68,7 +68,10 @@ impl std::fmt::Display for GenError {
         match self {
             GenError::Infeasible(m) => write!(f, "specification generation failed: {m}"),
             GenError::TooFewEdges { minimum } => {
-                write!(f, "m_G below the structural minimum {minimum} of this layout")
+                write!(
+                    f,
+                    "m_G below the structural minimum {minimum} of this layout"
+                )
             }
             GenError::TooManyEdges { maximum } => {
                 write!(f, "m_G above the {maximum} legal edge slots of this layout")
@@ -106,7 +109,9 @@ pub fn generate_spec(cfg: &SpecGenConfig) -> Result<Specification, GenError> {
         return Err(GenError::Infeasible("need at least 2 modules".into()));
     }
     if cfg.hierarchy_size < 1 {
-        return Err(GenError::Infeasible("|T_G| counts the root, so it is at least 1".into()));
+        return Err(GenError::Infeasible(
+            "|T_G| counts the root, so it is at least 1".into(),
+        ));
     }
     if cfg.hierarchy_size == 1 && cfg.hierarchy_depth != 1 {
         return Err(GenError::Infeasible("|T_G| = 1 forces depth 1".into()));
@@ -291,7 +296,11 @@ pub fn generate_spec(cfg: &SpecGenConfig) -> Result<Specification, GenError> {
                     chain.push((v, kv));
                     virtual_out.push(false);
                     for &c in &nodes[node].pairs[p] {
-                        stack.push(Frame { node: c, s: u, t: v });
+                        stack.push(Frame {
+                            node: c,
+                            s: u,
+                            t: v,
+                        });
                     }
                 }
             }

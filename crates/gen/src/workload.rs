@@ -164,11 +164,7 @@ impl SpecMix {
                 }
                 SpecMix::Zipf { skew }
             }
-            other => {
-                return Err(format!(
-                    "unknown spec mix {other:?} (uniform | zipf:SKEW)"
-                ))
-            }
+            other => return Err(format!("unknown spec mix {other:?} (uniform | zipf:SKEW)")),
         };
         if parts.next().is_some() {
             return Err(format!("{text:?}: trailing mix components"));
@@ -276,7 +272,10 @@ mod tests {
         assert!(uni.iter().all(|&i| i < specs));
         assert!(hot.iter().all(|&i| i < specs));
         // deterministic
-        assert_eq!(hot, spec_mix_indices(SpecMix::Zipf { skew: 1.2 }, specs, n, 11));
+        assert_eq!(
+            hot,
+            spec_mix_indices(SpecMix::Zipf { skew: 1.2 }, specs, n, 11)
+        );
         let count = |v: &[usize], i: usize| v.iter().filter(|&&x| x == i).count();
         // uniform: every spec near n/specs
         for i in 0..specs {
@@ -309,7 +308,10 @@ mod tests {
             SpecMix::parse("zipf:1.1").unwrap(),
             SpecMix::Zipf { skew: 1.1 }
         );
-        assert_eq!(SpecMix::parse("zipf:0").unwrap(), SpecMix::Zipf { skew: 0.0 });
+        assert_eq!(
+            SpecMix::parse("zipf:0").unwrap(),
+            SpecMix::Zipf { skew: 0.0 }
+        );
         for bad in ["nope", "zipf", "zipf:-1", "zipf:inf", "zipf:x", "uniform:3"] {
             assert!(SpecMix::parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -35,7 +35,11 @@ impl FixedBitSet {
 
     #[inline]
     fn index(&self, bit: usize) -> (usize, u64) {
-        assert!(bit < self.len, "bit {bit} out of range for len {}", self.len);
+        assert!(
+            bit < self.len,
+            "bit {bit} out of range for len {}",
+            self.len
+        );
         (bit / 64, 1u64 << (bit % 64))
     }
 

@@ -60,8 +60,14 @@ impl DiGraph {
     ///
     /// Parallel edges are allowed. Panics if either endpoint is out of range.
     pub fn add_edge(&mut self, from: VertexIdx, to: VertexIdx) -> EdgeIdx {
-        assert!((from as usize) < self.vertex_count(), "vertex {from} out of range");
-        assert!((to as usize) < self.vertex_count(), "vertex {to} out of range");
+        assert!(
+            (from as usize) < self.vertex_count(),
+            "vertex {from} out of range"
+        );
+        assert!(
+            (to as usize) < self.vertex_count(),
+            "vertex {to} out of range"
+        );
         let id = self.edges.len() as EdgeIdx;
         self.edges.push((from, to));
         self.out_adj[from as usize].push(id);
@@ -95,12 +101,16 @@ impl DiGraph {
 
     /// Iterates over the heads of `v`'s outgoing edges.
     pub fn successors(&self, v: VertexIdx) -> impl Iterator<Item = VertexIdx> + '_ {
-        self.out_adj[v as usize].iter().map(move |&e| self.edges[e as usize].1)
+        self.out_adj[v as usize]
+            .iter()
+            .map(move |&e| self.edges[e as usize].1)
     }
 
     /// Iterates over the tails of `v`'s incoming edges.
     pub fn predecessors(&self, v: VertexIdx) -> impl Iterator<Item = VertexIdx> + '_ {
-        self.in_adj[v as usize].iter().map(move |&e| self.edges[e as usize].0)
+        self.in_adj[v as usize]
+            .iter()
+            .map(move |&e| self.edges[e as usize].0)
     }
 
     /// Out-degree of `v` (counting parallel edges).
@@ -133,7 +143,12 @@ impl DiGraph {
 
 impl std::fmt::Debug for DiGraph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "DiGraph(n={}, m={})", self.vertex_count(), self.edge_count())?;
+        writeln!(
+            f,
+            "DiGraph(n={}, m={})",
+            self.vertex_count(),
+            self.edge_count()
+        )?;
         for v in self.vertices() {
             let succ: Vec<_> = self.successors(v).collect();
             writeln!(f, "  {v} -> {succ:?}")?;

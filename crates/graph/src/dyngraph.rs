@@ -128,7 +128,10 @@ impl<E> DynGraph<E> {
 
     /// Inserts edge `from -> to` carrying `data`; returns its id.
     pub fn add_edge(&mut self, from: u32, to: u32, data: E) -> u32 {
-        assert!(self.verts[from as usize].alive, "tail vertex {from} is dead");
+        assert!(
+            self.verts[from as usize].alive,
+            "tail vertex {from} is dead"
+        );
         assert!(self.verts[to as usize].alive, "head vertex {to} is dead");
         let id = self.edges.len() as u32;
         let out_head = self.verts[from as usize].out_head;
@@ -280,7 +283,11 @@ impl<E> Iterator for EdgeIter<'_, E> {
         }
         let e = self.cur;
         let ed = &self.graph.edges[e as usize];
-        self.cur = if self.outgoing { ed.next_out } else { ed.next_in };
+        self.cur = if self.outgoing {
+            ed.next_out
+        } else {
+            ed.next_in
+        };
         Some(e)
     }
 }

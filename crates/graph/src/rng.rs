@@ -102,7 +102,10 @@ impl Xoshiro256 {
     /// Geometric distribution: number of failures before the first success
     /// with per-trial probability `p ∈ (0, 1]`.
     pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "geometric requires p in (0,1], got {p}");
+        assert!(
+            p > 0.0 && p <= 1.0,
+            "geometric requires p in (0,1], got {p}"
+        );
         if p >= 1.0 {
             return 0;
         }
@@ -212,7 +215,10 @@ mod tests {
         let total: u64 = (0..n).map(|_| rng.geometric(p)).sum();
         let mean = total as f64 / n as f64;
         let expected = (1.0 - p) / p; // 3.0
-        assert!((mean - expected).abs() < 0.2, "mean {mean}, expected {expected}");
+        assert!(
+            (mean - expected).abs() < 0.2,
+            "mean {mean}, expected {expected}"
+        );
         assert_eq!(rng.geometric(1.0), 0);
     }
 

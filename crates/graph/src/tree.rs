@@ -233,7 +233,11 @@ impl Ancestry {
 
         // Sparse table over the Euler tour for range-minimum (by depth).
         let m = euler.len();
-        let levels = if m <= 1 { 1 } else { (usize::BITS - (m - 1).leading_zeros()) as usize + 1 };
+        let levels = if m <= 1 {
+            1
+        } else {
+            (usize::BITS - (m - 1).leading_zeros()) as usize + 1
+        };
         let mut sparse: Vec<Vec<u32>> = Vec::with_capacity(levels);
         sparse.push((0..m as u32).collect());
         let mut k = 1;
@@ -269,12 +273,16 @@ impl Ancestry {
     /// Whether `a` is an ancestor of `b` (reflexive: `is_ancestor(x, x)`).
     #[inline]
     pub fn is_ancestor(&self, a: u32, b: u32) -> bool {
-        self.tin[a as usize] <= self.tin[b as usize] && self.tout[b as usize] <= self.tout[a as usize]
+        self.tin[a as usize] <= self.tin[b as usize]
+            && self.tout[b as usize] <= self.tout[a as usize]
     }
 
     /// Lowest common ancestor of `a` and `b`.
     pub fn lca(&self, a: u32, b: u32) -> u32 {
-        let (mut i, mut j) = (self.first[a as usize] as usize, self.first[b as usize] as usize);
+        let (mut i, mut j) = (
+            self.first[a as usize] as usize,
+            self.first[b as usize] as usize,
+        );
         if i > j {
             std::mem::swap(&mut i, &mut j);
         }
@@ -343,7 +351,13 @@ mod tests {
         let mut mixed = Vec::new();
         t.preorder_by(
             0,
-            |x| if x == 0 { ChildOrder::Reverse } else { ChildOrder::Forward },
+            |x| {
+                if x == 0 {
+                    ChildOrder::Reverse
+                } else {
+                    ChildOrder::Forward
+                }
+            },
             |x| mixed.push(x),
         );
         assert_eq!(mixed, vec![0, 3, 6, 2, 1, 4, 5]);

@@ -102,7 +102,7 @@ pub fn paper_run(spec: &Specification) -> Run {
     b.add_edge(e1, f1);
     b.add_edge(f1, g1);
     b.add_edge(g1, e2); // loop connector
-    // L1 copy 2, two parallel F2 copies
+                        // L1 copy 2, two parallel F2 copies
     b.add_edge(e2, f2);
     b.add_edge(f2, g2);
     b.add_edge(e2, f3);

@@ -120,7 +120,10 @@ pub fn spec_to_xml(spec: &Specification) -> String {
 pub fn spec_from_xml(xml: &str) -> Result<Specification, IoError> {
     let doc = parse_document(xml)?;
     if doc.name != "specification" {
-        return Err(schema_err(format!("expected <specification>, got <{}>", doc.name)));
+        return Err(schema_err(format!(
+            "expected <specification>, got <{}>",
+            doc.name
+        )));
     }
     let mut builder = SpecBuilder::new();
     let mut module_count = 0u32;
@@ -469,15 +472,15 @@ mod tests {
 
     #[test]
     fn schema_violations_are_reported() {
-        assert!(matches!(
-            spec_from_xml("<wrong/>"),
-            Err(IoError::Schema(_))
-        ));
+        assert!(matches!(spec_from_xml("<wrong/>"), Err(IoError::Schema(_))));
         assert!(matches!(
             spec_from_xml("<specification><module id=\"5\" name=\"a\"/></specification>"),
             Err(IoError::Schema(_))
         ));
-        assert!(matches!(spec_from_xml("<specification"), Err(IoError::Parse(_))));
+        assert!(matches!(
+            spec_from_xml("<specification"),
+            Err(IoError::Parse(_))
+        ));
         let spec = fixtures::paper_spec();
         assert!(matches!(
             run_from_xml("<run><vertex id=\"0\" origin=\"999\"/></run>", &spec),

@@ -296,12 +296,7 @@ impl SpecBuilder {
     /// Validates everything (Definitions 1–3) and produces the
     /// specification, or the first violation found.
     pub fn build(self) -> Result<Specification, SpecError> {
-        validate::finish(
-            self.graph,
-            self.names,
-            self.name_index,
-            self.raw_subgraphs,
-        )
+        validate::finish(self.graph, self.names, self.name_index, self.raw_subgraphs)
     }
 }
 

@@ -430,8 +430,7 @@ fn validate_well_nested(subgraphs: &[Subgraph]) -> Result<(), SpecError> {
             if a_in_b || b_in_a {
                 continue;
             }
-            if sorted_disjoint(ha.dom_set(), hb.dom_set())
-                && sorted_disjoint(&ha.edges, &hb.edges)
+            if sorted_disjoint(ha.dom_set(), hb.dom_set()) && sorted_disjoint(&ha.edges, &hb.edges)
             {
                 continue;
             }
@@ -449,7 +448,10 @@ mod tests {
     fn chain(names: &[&str]) -> (SpecBuilder, Vec<ModuleId>, Vec<SpecEdgeId>) {
         let mut b = SpecBuilder::new();
         let ms: Vec<ModuleId> = names.iter().map(|n| b.add_module(*n).unwrap()).collect();
-        let es: Vec<SpecEdgeId> = ms.windows(2).map(|w| b.add_edge(w[0], w[1]).unwrap()).collect();
+        let es: Vec<SpecEdgeId> = ms
+            .windows(2)
+            .map(|w| b.add_edge(w[0], w[1]).unwrap())
+            .collect();
         (b, ms, es)
     }
 
@@ -547,7 +549,10 @@ mod tests {
         b.add_edge(x, t).unwrap();
         b.add_edge(y, t).unwrap();
         b.add_fork_around(&[x, y]); // diamond: splits into two branches
-        assert!(matches!(b.build(), Err(SpecError::ForkNotAtomic { subgraph: 0 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::ForkNotAtomic { subgraph: 0 })
+        ));
     }
 
     #[test]
@@ -560,7 +565,10 @@ mod tests {
         let e2 = b.add_edge(x, t).unwrap();
         let e3 = b.add_edge(s, t).unwrap();
         b.add_fork(vec![e1, e2, e3]);
-        assert!(matches!(b.build(), Err(SpecError::ForkNotAtomic { subgraph: 0 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::ForkNotAtomic { subgraph: 0 })
+        ));
     }
 
     #[test]
@@ -600,7 +608,10 @@ mod tests {
         b.add_edge(x, t).unwrap(); // x (the loop source) has an escaping edge
         b.add_edge(y, t).unwrap();
         b.add_loop(vec![e]);
-        assert!(matches!(b.build(), Err(SpecError::LoopNotComplete { subgraph: 0 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::LoopNotComplete { subgraph: 0 })
+        ));
     }
 
     #[test]
@@ -617,7 +628,10 @@ mod tests {
         b.add_edge(x, z).unwrap(); // bypass x->z not claimed by the loop
         b.add_edge(z, t).unwrap();
         b.add_loop(vec![e1, e2]);
-        assert!(matches!(b.build(), Err(SpecError::LoopNotComplete { subgraph: 0 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::LoopNotComplete { subgraph: 0 })
+        ));
     }
 
     #[test]
@@ -627,7 +641,10 @@ mod tests {
         b.add_loop(vec![es[1]]);
         b.add_loop(vec![es[2]]);
         let _ = ms;
-        assert!(matches!(b.build(), Err(SpecError::NotWellNested { a: 0, b: 1 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::NotWellNested { a: 0, b: 1 })
+        ));
     }
 
     #[test]
@@ -635,7 +652,10 @@ mod tests {
         let (mut b, _ms, es) = chain(&["s", "x", "y", "t"]);
         b.add_loop(vec![es[1]]);
         b.add_loop(vec![es[1]]);
-        assert!(matches!(b.build(), Err(SpecError::DuplicateSubgraph { a: 0, b: 1 })));
+        assert!(matches!(
+            b.build(),
+            Err(SpecError::DuplicateSubgraph { a: 0, b: 1 })
+        ));
     }
 
     #[test]

@@ -124,7 +124,11 @@ impl RunData {
     /// The maximum in-degree `k = max_x |Inputs(x)|` governing the data
     /// label length factor `k + 1` (§6).
     pub fn max_inputs(&self) -> usize {
-        self.items.iter().map(|it| it.consumers.len()).max().unwrap_or(0)
+        self.items
+            .iter()
+            .map(|it| it.consumers.len())
+            .max()
+            .unwrap_or(0)
     }
 }
 

@@ -61,10 +61,7 @@ impl<'s, S: SpecIndex> FleetIndex<'s, S> {
         while self.items.len() <= id.index() {
             self.items.push(Vec::new());
         }
-        self.items[id.index()] = data
-            .items()
-            .map(|(_, item)| item.clone())
-            .collect();
+        self.items[id.index()] = data.items().map(|(_, item)| item.clone()).collect();
         id
     }
 
@@ -216,12 +213,7 @@ impl<'s, S: SpecIndex> FleetIndex<'s, S> {
         let mut spans = Vec::with_capacity(queries.len());
         for &(run, v, x) in queries {
             let start = probes.len();
-            probes.extend(
-                self.item(run, x)?
-                    .consumers
-                    .iter()
-                    .map(|&u| (run, u, v)),
-            );
+            probes.extend(self.item(run, x)?.consumers.iter().map(|&u| (run, u, v)));
             spans.push(start..probes.len());
         }
         let answers = self.fleet.answer_batch(&probes)?;
@@ -366,7 +358,8 @@ mod tests {
         .unwrap();
         let per_run = ProvenanceIndex::build(&labeled, &data);
 
-        let ctx = SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph())).shared();
+        let ctx =
+            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph())).shared();
         let mut fleet = FleetIndex::new(ctx);
         let runs: Vec<RunId> = (0..3)
             .map(|_| fleet.register_run(labeled.labels(), &data))
@@ -426,7 +419,8 @@ mod tests {
             &run,
         )
         .unwrap();
-        let ctx = SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph())).shared();
+        let ctx =
+            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph())).shared();
         let mut fleet = FleetIndex::new(ctx);
         let a = fleet.register_run(labeled.labels(), &data);
         let b = fleet.register_run(labeled.labels(), &data);
@@ -435,17 +429,17 @@ mod tests {
             fleet.data_depends_on_data(a, ids[0], ids[1]),
             Err(FleetError::Evicted(_))
         ));
-        assert!(matches!(
-            fleet.item_count(a),
-            Err(FleetError::Evicted(_))
-        ));
+        assert!(matches!(fleet.item_count(a), Err(FleetError::Evicted(_))));
         // the surviving run still answers
         assert!(fleet.data_depends_on_data(b, ids[2], ids[0]).unwrap());
         // a valid run with an out-of-range item reports the item, not the run
         let err = fleet
             .data_depends_on_data(b, DataItemId(99), ids[0])
             .unwrap_err();
-        assert!(matches!(err, FleetError::UnknownItem { item: 99, .. }), "{err}");
+        assert!(
+            matches!(err, FleetError::UnknownItem { item: 99, .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("no data item #99"), "{err}");
         assert!(matches!(
             fleet.data_depends_on_data_batch(&[(a, ids[0], ids[1])]),
@@ -465,8 +459,7 @@ mod tests {
         )
         .unwrap();
         let ctx =
-            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()))
-                .shared();
+            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph())).shared();
         let mut index = FleetIndex::new(ctx);
         let runs: Vec<RunId> = (0..3)
             .map(|_| index.register_run(labeled.labels(), &data))
@@ -512,8 +505,7 @@ mod tests {
         )
         .unwrap();
         let ctx =
-            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()))
-                .shared();
+            SpecContext::for_spec(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph())).shared();
         let mut index = FleetIndex::new(ctx);
         index.register_run(labeled.labels(), &data);
         let bytes = index.save(spec.graph()).unwrap();

@@ -21,10 +21,7 @@ pub fn attach_data(run: &Run, seed: u64, mean_items: f64) -> RunData {
     let mut builder = RunDataBuilder::new(run);
     let mut next_id = 0usize;
     for v in run.vertices() {
-        let out: Vec<RunEdgeId> = run
-            .edge_ids()
-            .filter(|&e| run.edge(e).0 == v)
-            .collect();
+        let out: Vec<RunEdgeId> = run.edge_ids().filter(|&e| run.edge(e).0 == v).collect();
         if out.is_empty() {
             continue;
         }
@@ -43,11 +40,8 @@ pub fn attach_data(run: &Run, seed: u64, mean_items: f64) -> RunData {
         };
         for _ in 0..extra {
             // random nonempty subset of the out-edges
-            let mut subset: Vec<RunEdgeId> = out
-                .iter()
-                .copied()
-                .filter(|_| rng.gen_bool(0.5))
-                .collect();
+            let mut subset: Vec<RunEdgeId> =
+                out.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
             if subset.is_empty() {
                 subset.push(out[rng.gen_usize(out.len())]);
             }
@@ -71,10 +65,7 @@ mod tests {
         let run = paper_run(&spec);
         let data = attach_data(&run, 3, 1.0);
         for e in run.edge_ids() {
-            assert!(
-                !data.data_on_edge(e).is_empty(),
-                "edge {e} carries no data"
-            );
+            assert!(!data.data_on_edge(e).is_empty(), "edge {e} carries no data");
         }
         assert!(data.item_count() >= run.edge_count());
     }

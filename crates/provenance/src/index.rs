@@ -47,11 +47,7 @@ impl<'a, S: SpecIndex> ProvenanceIndex<'a, S> {
             .items()
             .map(|(_, item)| DataLabel {
                 output: *labeled.label(item.producer),
-                inputs: item
-                    .consumers
-                    .iter()
-                    .map(|&v| *labeled.label(v))
-                    .collect(),
+                inputs: item.consumers.iter().map(|&v| *labeled.label(v)).collect(),
             })
             .collect();
         let memo = SharedMemo::for_skeleton(labeled.skeleton(), || {
@@ -189,12 +185,7 @@ mod tests {
     }
 
     /// The Figure 11 / Example 10 scenario.
-    fn figure_11() -> (
-        Specification,
-        Run,
-        RunData,
-        Vec<DataItemId>,
-    ) {
+    fn figure_11() -> (Specification, Run, RunData, Vec<DataItemId>) {
         let spec = paper_spec();
         let run = paper_run(&spec);
         let mut b = RunDataBuilder::new(&run);
@@ -216,10 +207,7 @@ mod tests {
         (spec, run, data, vec![x1, x2, x3, x4, x5, x6])
     }
 
-    fn build_index(
-        spec: &Specification,
-        run: &Run,
-    ) -> LabeledRun<SpecScheme> {
+    fn build_index(spec: &Specification, run: &Run) -> LabeledRun<SpecScheme> {
         let scheme = SpecScheme::build(SchemeKind::Tcm, spec.graph());
         LabeledRun::build(spec, scheme, run).unwrap()
     }

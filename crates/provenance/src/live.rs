@@ -113,11 +113,7 @@ impl<'s, S: SpecIndex> LiveIndex<'s, S> {
 
     /// Records that `consumer` (an already-executed vertex) read item `x`
     /// — the streaming counterpart of a data item flowing on a later edge.
-    pub fn add_consumer(
-        &mut self,
-        x: DataItemId,
-        consumer: RunVertexId,
-    ) -> Result<(), DataError> {
+    pub fn add_consumer(&mut self, x: DataItemId, consumer: RunVertexId) -> Result<(), DataError> {
         if consumer.index() >= self.live.vertex_count() {
             return Err(DataError::BadVertex(consumer));
         }
@@ -202,10 +198,7 @@ impl<'s, S: SpecIndex> LiveIndex<'s, S> {
     }
 
     /// Bulk [`data_depends_on_module`](Self::data_depends_on_module).
-    pub fn data_depends_on_module_batch(
-        &self,
-        pairs: &[(DataItemId, RunVertexId)],
-    ) -> Vec<bool> {
+    pub fn data_depends_on_module_batch(&self, pairs: &[(DataItemId, RunVertexId)]) -> Vec<bool> {
         let probes: Vec<_> = pairs
             .iter()
             .map(|&(x, v)| (v, self.items[x.index()].producer))
@@ -214,10 +207,7 @@ impl<'s, S: SpecIndex> LiveIndex<'s, S> {
     }
 
     /// Bulk [`module_depends_on_data`](Self::module_depends_on_data).
-    pub fn module_depends_on_data_batch(
-        &self,
-        pairs: &[(RunVertexId, DataItemId)],
-    ) -> Vec<bool> {
+    pub fn module_depends_on_data_batch(&self, pairs: &[(RunVertexId, DataItemId)]) -> Vec<bool> {
         let mut probes = Vec::new();
         let mut spans = Vec::with_capacity(pairs.len());
         for &(v, x) in pairs {

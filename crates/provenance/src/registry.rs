@@ -276,10 +276,7 @@ mod tests {
         for &(spec_id, _, _) in &ids {
             index.registry_mut().evict(spec_id).unwrap();
         }
-        assert_eq!(
-            index.data_depends_on_data_batch(&queries).unwrap(),
-            batched
-        );
+        assert_eq!(index.data_depends_on_data_batch(&queries).unwrap(), batched);
         assert_eq!(index.stats().lazy_loads, ids.len() as u64);
 
         // unknown item and unknown spec are typed errors

@@ -10,7 +10,7 @@
 //! index.
 
 use wfp_model::ModuleId;
-use wfp_skl::snapshot::{self, put_str, put_varint, Cursor, FormatError, SnapshotReader, seg};
+use wfp_skl::snapshot::{self, put_str, put_varint, seg, Cursor, FormatError, SnapshotReader};
 use wfp_skl::{predicate, predicate_memo, LabeledRun, RunLabel, SharedMemo};
 use wfp_speclabel::SpecIndex;
 
@@ -229,7 +229,11 @@ mod tests {
             .collect();
         let batch = stored.data_depends_on_data_batch(&pairs, skeleton);
         for (&(x, y), &ans) in pairs.iter().zip(&batch) {
-            assert_eq!(ans, stored.data_depends_on_data(x, y, skeleton), "({x}, {y})");
+            assert_eq!(
+                ans,
+                stored.data_depends_on_data(x, y, skeleton),
+                "({x}, {y})"
+            );
         }
     }
 

@@ -152,10 +152,7 @@ fn invalid_utf8_name_is_bad_name() {
 fn trailing_bytes_in_items_segment_are_rejected() {
     let bytes = store_bytes();
     let r = SnapshotReader::parse(&bytes).unwrap();
-    let mut payload = r
-        .first(snapshot::seg::PROVENANCE_ITEMS)
-        .unwrap()
-        .to_vec();
+    let mut payload = r.first(snapshot::seg::PROVENANCE_ITEMS).unwrap().to_vec();
     payload.push(0xAA);
     assert!(matches!(
         StoredProvenance::deserialize(&with_items_payload(&bytes, payload)),

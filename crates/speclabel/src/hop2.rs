@@ -83,10 +83,7 @@ impl SpecIndex for Hop2 {
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by_key(|&v| {
             let degree = (graph.out_degree(v) + 1) * (graph.in_degree(v) + 1);
-            (
-                std::cmp::Reverse(degree),
-                bst_depth(topo_pos[v as usize]),
-            )
+            (std::cmp::Reverse(degree), bst_depth(topo_pos[v as usize]))
         });
         let mut index = Hop2 {
             out_labels: vec![Vec::new(); n],

@@ -29,8 +29,8 @@ pub mod chains;
 pub mod hop2;
 pub mod search;
 pub mod tcm;
-pub mod treeexp;
 pub mod treecover;
+pub mod treeexp;
 
 pub use chains::ChainDecomposition;
 pub use hop2::Hop2;

@@ -152,10 +152,7 @@ impl TreeExpansion {
     /// Total index bits: two tree positions per copy.
     pub fn total_bits(&self) -> usize {
         let width = (usize::BITS - (2 * self.tree_nodes).max(2).leading_zeros()) as usize;
-        self.intervals
-            .iter()
-            .map(|l| 2 * width * l.len())
-            .sum()
+        self.intervals.iter().map(|l| 2 * width * l.len()).sum()
     }
 
     /// Label bits of one vertex.

@@ -35,7 +35,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "XML parse error at {}:{}: {}", self.line, self.col, self.message)
+        write!(
+            f,
+            "XML parse error at {}:{}: {}",
+            self.line, self.col, self.message
+        )
     }
 }
 
@@ -244,8 +248,7 @@ impl<'a> Parser<'a> {
                             _ => return Err(self.error("expected quoted attribute value")),
                         };
                         self.pos += 1;
-                        let raw =
-                            self.take_until(if quote == b'"' { "\"" } else { "'" })?;
+                        let raw = self.take_until(if quote == b'"' { "\"" } else { "'" })?;
                         let value = unescape(raw).map_err(|e| self.error(e))?;
                         if attrs.iter().any(|(k, _)| k == &key) {
                             return Err(self.error(format!("duplicate attribute {key:?}")));

@@ -24,7 +24,11 @@ struct Node {
 }
 
 fn arb_node() -> impl Strategy<Value = Node> {
-    let leaf = (arb_name(), proptest::collection::vec((arb_name(), arb_text()), 0..3), arb_text())
+    let leaf = (
+        arb_name(),
+        proptest::collection::vec((arb_name(), arb_text()), 0..3),
+        arb_text(),
+    )
         .prop_map(|(name, mut attrs, text)| {
             attrs.dedup_by(|a, b| a.0 == b.0);
             let mut seen = std::collections::HashSet::new();

@@ -29,10 +29,7 @@ fn main() {
         .collect();
 
     // one shared spec-level context; labels only (no skeleton) per run
-    let mut fleet = FleetEngine::for_spec(
-        &spec,
-        SpecScheme::build(SchemeKind::Bfs, spec.graph()),
-    );
+    let mut fleet = FleetEngine::for_spec(&spec, SpecScheme::build(SchemeKind::Bfs, spec.graph()));
     let ids: Vec<RunId> = runs
         .iter()
         .map(|run| {
@@ -88,5 +85,9 @@ fn main() {
         fleet.answer(ids[0], RunVertexId(0), RunVertexId(0)),
         Err(FleetError::Evicted(_))
     ));
-    println!("evicted {}; fleet now serves {} runs", ids[0], fleet.stats().active());
+    println!(
+        "evicted {}; fleet now serves {} runs",
+        ids[0],
+        fleet.stats().active()
+    );
 }

@@ -59,7 +59,10 @@ fn main() {
             .count();
         // sweeps = number of validate executions
         let validate = spec.module_by_name("validate").unwrap();
-        let sweeps = run.vertices().filter(|&v| run.origin(v) == validate).count();
+        let sweeps = run
+            .vertices()
+            .filter(|&v| run.origin(v) == validate)
+            .count();
         println!(
             "{:>10} {:>10} {:>12} {:>14.1} {:>15.1}%",
             sweeps,

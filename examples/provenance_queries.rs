@@ -99,7 +99,12 @@ fn main() {
         .map(|(v, _)| names[v.index()].as_str())
         .collect();
     tainted.sort();
-    println!("  {} of {} executions: {:?}", tainted.len(), run.vertex_count(), tainted);
+    println!(
+        "  {} of {} executions: {:?}",
+        tainted.len(),
+        run.vertex_count(),
+        tainted
+    );
 
     // ---- bulk: the full item-dependency matrix in one batch -------------
     let all_pairs: Vec<_> = data

@@ -62,10 +62,7 @@ fn main() {
     );
     let decoded = encoded.decode();
     assert_eq!(decoded.len(), labeled.labels().len());
-    assert!(decoded
-        .iter()
-        .zip(labeled.labels())
-        .all(|(a, b)| a == b));
+    assert!(decoded.iter().zip(labeled.labels()).all(|(a, b)| a == b));
     println!("packed labels decode losslessly");
 
     // clean up

@@ -77,18 +77,17 @@ mod readme_doctests {}
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use wfp_gen::{
-        generate_fleet, generate_registry, generate_run, generate_run_with_target,
-        generate_spec, generate_spec_clamped, random_pairs, real_workflows,
-        stand_in, CountDistribution, GeneratedRegistry, GeneratedRun, RunGenConfig,
-        SpecGenConfig,
+        generate_fleet, generate_registry, generate_run, generate_run_with_target, generate_spec,
+        generate_spec_clamped, random_pairs, real_workflows, stand_in, CountDistribution,
+        GeneratedRegistry, GeneratedRun, RunGenConfig, SpecGenConfig,
     };
     pub use wfp_model::{
-        ExecutionPlan, ModuleId, Run, RunBuilder, RunEdgeId, RunVertexId, SpecBuilder,
-        SpecEdgeId, Specification, SubgraphId, SubgraphKind,
+        ExecutionPlan, ModuleId, Run, RunBuilder, RunEdgeId, RunVertexId, SpecBuilder, SpecEdgeId,
+        Specification, SubgraphId, SubgraphKind,
     };
     pub use wfp_provenance::{
-        attach_data, DataItemId, FleetIndex, LiveIndex, ProvenanceIndex, RegistryIndex,
-        RunData, RunDataBuilder, StoredProvenance,
+        attach_data, DataItemId, FleetIndex, LiveIndex, ProvenanceIndex, RegistryIndex, RunData,
+        RunDataBuilder, StoredProvenance,
     };
     pub use wfp_skl::{
         construct_plan, label_run, serve_sharded, FleetEngine, FleetError, FleetStats, LabeledRun,

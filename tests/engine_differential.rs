@@ -234,7 +234,12 @@ fn toy_labels(profile: u8, n: usize, seed: u64) -> Vec<RunLabel> {
         .map(|_| {
             let mut q = |m: usize, base: u32| base + rng.gen_usize(m) as u32;
             match profile {
-                0 => RunLabel { q1: 7, q2: 9, q3: 11, origin: ModuleId(5) },
+                0 => RunLabel {
+                    q1: 7,
+                    q2: 9,
+                    q3: 11,
+                    origin: ModuleId(5),
+                },
                 1 => RunLabel {
                     q1: q(2, 1000),
                     q2: q(2, 2000),
@@ -257,7 +262,12 @@ fn toy_labels(profile: u8, n: usize, seed: u64) -> Vec<RunLabel> {
         })
         .collect();
     if profile == 2 && n >= 2 {
-        labels[0] = RunLabel { q1: 0, q2: 0, q3: 0, origin: ModuleId(0) };
+        labels[0] = RunLabel {
+            q1: 0,
+            q2: 0,
+            q3: 0,
+            origin: ModuleId(0),
+        };
         labels[n - 1] = RunLabel {
             q1: u32::MAX,
             q2: u32::MAX,
@@ -464,7 +474,10 @@ fn forged_packed_width_headers_are_rejected() {
     type Forgery = Box<dyn FnOnce(&mut Vec<u8>)>;
     let forgeries: Vec<(&str, Forgery)> = vec![
         ("width 33 on q1", Box::new(|p: &mut Vec<u8>| p[5] = 33)),
-        ("width 255 on origin", Box::new(|p: &mut Vec<u8>| p[20] = 255)),
+        (
+            "width 255 on origin",
+            Box::new(|p: &mut Vec<u8>| p[20] = 255),
+        ),
         (
             "base+mask overflows u32",
             Box::new(|p: &mut Vec<u8>| {
@@ -479,10 +492,7 @@ fn forged_packed_width_headers_are_rejected() {
                 p.truncate(p.len() - 8);
             }),
         ),
-        (
-            "trailing garbage",
-            Box::new(|p: &mut Vec<u8>| p.push(0xAA)),
-        ),
+        ("trailing garbage", Box::new(|p: &mut Vec<u8>| p.push(0xAA))),
         (
             "width header inconsistent with stored words",
             Box::new(|p: &mut Vec<u8>| p[5] = 0),
@@ -541,7 +551,11 @@ fn fallback_labels(n: usize, width: u32) -> Vec<RunLabel> {
             RunLabel {
                 q1: i as u32,
                 q2: if banded { i as u32 } else { (i % 3) as u32 },
-                q3: if banded { (n - i) as u32 } else { (i % 3) as u32 },
+                q3: if banded {
+                    (n - i) as u32
+                } else {
+                    (i % 3) as u32
+                },
                 origin: ModuleId((i % width as usize) as u32),
             }
         })
@@ -597,7 +611,10 @@ fn probe_table_fallback_matches_scalar_counters_over_cap_exceeding_bound() {
         assert_eq!(s.skeleton, r.skeleton, "{kind}: skeleton split");
         assert_eq!(s.skeleton_probes, r.skeleton_probes, "{kind}: memo misses");
         assert_eq!(s.memo_hits, r.memo_hits, "{kind}: memo hits");
-        assert!(s.skeleton > 0, "{kind}: the workload must exercise the skeleton path");
+        assert!(
+            s.skeleton > 0,
+            "{kind}: the workload must exercise the skeleton path"
+        );
 
         // the counters also satisfy the dense-table accounting contract:
         // one probe per distinct cold (origin, origin) key, every repeat a
@@ -614,8 +631,16 @@ fn probe_table_fallback_matches_scalar_counters_over_cap_exceeding_bound() {
                 }
             }
             assert_eq!(s.skeleton, unresolved, "unresolved lane count");
-            assert_eq!(s.skeleton_probes, distinct.len() as u64, "one miss per distinct key");
-            assert_eq!(s.memo_hits, unresolved - distinct.len() as u64, "every repeat is a hit");
+            assert_eq!(
+                s.skeleton_probes,
+                distinct.len() as u64,
+                "one miss per distinct key"
+            );
+            assert_eq!(
+                s.memo_hits,
+                unresolved - distinct.len() as u64,
+                "every repeat is a hit"
+            );
         }
     }
 }

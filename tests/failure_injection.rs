@@ -176,13 +176,14 @@ fn foreign_origin_pairs_are_identified() {
     let mut from = None;
     'outer: for a in spec.modules() {
         for b in spec.modules() {
-            if a != b && !spec.graph().has_edge(a.raw(), b.raw())
+            if a != b
+                && !spec.graph().has_edge(a.raw(), b.raw())
                 && !spec.graph().has_edge(b.raw(), a.raw())
             {
                 // also must not be a loop connector pair
-                let is_connector = spec.subgraphs().any(|(_, sg)| {
-                    sg.kind == SubgraphKind::Loop && sg.sink == a && sg.source == b
-                });
+                let is_connector = spec
+                    .subgraphs()
+                    .any(|(_, sg)| sg.kind == SubgraphKind::Loop && sg.sink == a && sg.source == b);
                 if !is_connector {
                     from = Some((a, b));
                     break 'outer;

@@ -56,9 +56,11 @@ fn stream_plan<'s>(
 
 fn workload() -> Vec<(Specification, GeneratedRun)> {
     let mut out = Vec::new();
-    for (modules, size, depth, seed) in
-        [(30usize, 6usize, 3usize, 1u64), (60, 10, 4, 2), (20, 4, 2, 3)]
-    {
+    for (modules, size, depth, seed) in [
+        (30usize, 6usize, 3usize, 1u64),
+        (60, 10, 4, 2),
+        (20, 4, 2, 3),
+    ] {
         let spec = generate_spec_clamped(&SpecGenConfig {
             modules,
             edges: modules + modules / 2,

@@ -6,8 +6,8 @@
 //! afford a poisoned labeler because one engine hiccup emitted a bad
 //! event.
 
-use workflow_provenance::model::io::{events_from_log, RunEvent};
 use workflow_provenance::model::fixtures::{paper_spec, paper_subgraph};
+use workflow_provenance::model::io::{events_from_log, RunEvent};
 use workflow_provenance::model::Specification;
 use workflow_provenance::prelude::*;
 use workflow_provenance::skl::online::OnlineError;
@@ -121,7 +121,11 @@ fn no_open_copy_rejected_and_recovered() {
     let b = spec.module_by_name("b").unwrap();
     // prefix 2 = [exec a, begin-group F1]: top is the F1 group
     inject_and_recover(2, |l| l.begin_group(l2), |e| *e == OnlineError::NoOpenCopy);
-    inject_and_recover(2, |l| l.exec(b).map(|_| ()), |e| *e == OnlineError::NoOpenCopy);
+    inject_and_recover(
+        2,
+        |l| l.exec(b).map(|_| ()),
+        |e| *e == OnlineError::NoOpenCopy,
+    );
 }
 
 #[test]
@@ -196,13 +200,15 @@ fn incomplete_copy_rejected_and_recovered() {
     inject_and_recover(
         5,
         |l| l.end_copy(),
-        |e| matches!(
-            e,
-            OnlineError::IncompleteCopy {
-                missing_modules: 2,
-                missing_groups: 0
-            }
-        ),
+        |e| {
+            matches!(
+                e,
+                OnlineError::IncompleteCopy {
+                    missing_modules: 2,
+                    missing_groups: 0
+                }
+            )
+        },
     );
 }
 

@@ -43,7 +43,11 @@ fn example_6_and_9_queries_under_all_schemes() {
         for &(from, to, expected) in paper_reachability_claims() {
             let u = paper_vertex(&spec, &run, from);
             let v = paper_vertex(&spec, &run, to);
-            assert_eq!(labeled.reaches(u, v), expected, "{from} ⇝ {to} under {kind}");
+            assert_eq!(
+                labeled.reaches(u, v),
+                expected,
+                "{from} ⇝ {to} under {kind}"
+            );
         }
     }
 }
@@ -95,8 +99,12 @@ fn f1_is_executed_twice_with_uneven_loops() {
 fn example_10_data_provenance_with_store() {
     let spec = paper_spec();
     let run = paper_run(&spec);
-    let labeled =
-        LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run).unwrap();
+    let labeled = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Tcm, spec.graph()),
+        &run,
+    )
+    .unwrap();
 
     let a1 = paper_vertex(&spec, &run, "a1");
     let b1 = paper_vertex(&spec, &run, "b1");
@@ -118,10 +126,9 @@ fn example_10_data_provenance_with_store() {
     assert!(!prov.data_depends_on_data(x1, x6));
 
     // the same answers from the serialized store
-    let stored = StoredProvenance::deserialize(&workflow_provenance::provenance::serialize(
-        &labeled, &data,
-    ))
-    .unwrap();
+    let stored =
+        StoredProvenance::deserialize(&workflow_provenance::provenance::serialize(&labeled, &data))
+            .unwrap();
     assert!(stored.data_depends_on_data(x6, x1, labeled.skeleton()));
     assert!(!stored.data_depends_on_data(x1, x6, labeled.skeleton()));
     assert_eq!(stored.item_by_name("x6"), Some(x6));
@@ -140,7 +147,11 @@ fn run_given_with_plan_matches_recovered_pipeline() {
         &run,
         &plan,
     );
-    let full = LabeledRun::build(&spec, SpecScheme::build(SchemeKind::Tcm, spec.graph()), &run)
-        .unwrap();
+    let full = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Tcm, spec.graph()),
+        &run,
+    )
+    .unwrap();
     assert_eq!(via_plan.labels(), full.labels());
 }

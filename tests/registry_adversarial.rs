@@ -64,8 +64,8 @@ fn roundtrip_sanity_before_attacking() {
 fn truncation_at_every_offset_is_a_typed_error() {
     let bytes = sample_manifest();
     for len in 0..bytes.len() {
-        let err = read_manifest(&bytes[..len])
-            .expect_err("a strict prefix cannot be a valid manifest");
+        let err =
+            read_manifest(&bytes[..len]).expect_err("a strict prefix cannot be a valid manifest");
         // every truncation is caught by the framing or payload guards
         let _typed: FormatError = err;
     }
@@ -226,7 +226,9 @@ fn swapped_snapshot_is_caught_by_the_content_hash() {
             if expected == ids[1] && loaded == ids[0]
     ));
     // the untampered spec keeps serving
-    assert!(registry.answer(ids[0], RunId(0), RunVertexId(0), RunVertexId(1)).is_ok());
+    assert!(registry
+        .answer(ids[0], RunId(0), RunVertexId(0), RunVertexId(1))
+        .is_ok());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -336,7 +336,13 @@ fn million_probe_sweep_survives_disk_roundtrip_and_eviction() {
 
     // one probe set, answered three ways
     let chunks: Vec<Vec<(SpecId, RunId, RunVertexId, RunVertexId)>> = (0..CHUNKS as u64)
-        .map(|c| mixed_spec_probes(&books, CHUNK, 0xF1EE ^ c.wrapping_mul(0x2545_F491_4F6C_DD1D)))
+        .map(|c| {
+            mixed_spec_probes(
+                &books,
+                CHUNK,
+                0xF1EE ^ c.wrapping_mul(0x2545_F491_4F6C_DD1D),
+            )
+        })
         .collect();
     let expected: Vec<Vec<bool>> = chunks
         .iter()
@@ -352,15 +358,17 @@ fn million_probe_sweep_survives_disk_roundtrip_and_eviction() {
         .collect();
 
     for (chunk, want) in chunks.iter().zip(&expected) {
-        assert_eq!(&registry.answer_batch(chunk).unwrap(), want, "in-memory registry");
+        assert_eq!(
+            &registry.answer_batch(chunk).unwrap(),
+            want,
+            "in-memory registry"
+        );
     }
 
     // persist, reopen lazily with a budget that holds ~2 fleets, and
     // re-answer the identical traffic: every chunk hits offloaded fleets
-    let dir = std::env::temp_dir().join(format!(
-        "wfp-registry-differential-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("wfp-registry-differential-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     registry.save_dir(&dir).unwrap();
     let budget = registry.resident_bytes() / 3;
@@ -369,7 +377,11 @@ fn million_probe_sweep_survives_disk_roundtrip_and_eviction() {
     assert_eq!(reloaded.stats().resident, 0, "open_dir is lazy");
 
     for (chunk, want) in chunks.iter().zip(&expected) {
-        assert_eq!(&reloaded.answer_batch(chunk).unwrap(), want, "reloaded registry");
+        assert_eq!(
+            &reloaded.answer_batch(chunk).unwrap(),
+            want,
+            "reloaded registry"
+        );
     }
     let stats = reloaded.stats();
     assert!(

@@ -81,12 +81,20 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
 
         // resident packed columns
         assert_eq!(sealed.stats().packed, gens.len(), "{kind}");
-        assert_eq!(sealed.answer_batch(&probes).unwrap(), want, "{kind}: resident packed");
+        assert_eq!(
+            sealed.answer_batch(&probes).unwrap(),
+            want,
+            "{kind}: resident packed"
+        );
 
         // the copying reload of the aligned snapshot: views over its own copy
         let bytes = sealed.save(spec.graph()).unwrap();
         let (owned, _) = FleetEngine::load(&bytes).unwrap();
-        assert_eq!(owned.answer_batch(&probes).unwrap(), want, "{kind}: copying reload");
+        assert_eq!(
+            owned.answer_batch(&probes).unwrap(),
+            want,
+            "{kind}: copying reload"
+        );
 
         // the zero-copy bind over the same buffer
         let (view, _, profile) = FleetEngine::load_shared(Arc::from(bytes.as_slice())).unwrap();
@@ -95,7 +103,11 @@ fn zero_copy_views_match_decoded_and_raw_across_all_schemes() {
             gens.len(),
             "{kind}: an all-packed snapshot must bind every run zero-copy"
         );
-        assert_eq!(view.answer_batch(&probes).unwrap(), want, "{kind}: zero-copy reload");
+        assert_eq!(
+            view.answer_batch(&probes).unwrap(),
+            want,
+            "{kind}: zero-copy reload"
+        );
     }
 }
 
@@ -137,7 +149,9 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
     }
     let mut books: Vec<(SpecId, Vec<(RunId, usize)>)> = Vec::new();
     for (i, &id) in spec_ids.iter().enumerate() {
-        let fleet = oracle.fleet(id).expect("freshly built registries are resident");
+        let fleet = oracle
+            .fleet(id)
+            .expect("freshly built registries are resident");
         let runs: Vec<(RunId, usize)> = fleet
             .run_ids()
             .collect::<Vec<_>>()
@@ -200,10 +214,9 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
     let builder_plan = plan.clone();
     let builder_dir = dir.clone();
     let server = serve_sharded(config, SHARDS, plan.clone(), move |shard, shards| {
-        let mut registry =
-            ServiceRegistry::open_dir_filtered(&builder_dir, None, |id| {
-                builder_plan.shard_of(id, shards) == shard
-            })?;
+        let mut registry = ServiceRegistry::open_dir_filtered(&builder_dir, None, |id| {
+            builder_plan.shard_of(id, shards) == shard
+        })?;
         // fault everything in once to size the shard, then set a budget
         // two thirds of that so the serve traffic churns evict→reload
         // continuously
@@ -248,7 +261,10 @@ fn sharded_serve_churn_over_zero_copy_dir_store_matches_flat_oracle() {
         .enumerate()
         .flat_map(|(j, a)| a.unwrap_or_else(|| panic!("request {j} was never answered")))
         .collect();
-    assert_eq!(served, expected, "served answers diverged from the flat oracle");
+    assert_eq!(
+        served, expected,
+        "served answers diverged from the flat oracle"
+    );
 
     // every shard's reloads were zero-copy: the snapshots hold only
     // aligned packed runs, so no lazy load may fall back to decoding

@@ -128,13 +128,14 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
         .collect();
 
     // --- oracle: same payload, no budget, probed directly ---------------
-    let (mut oracle, spec_ids, oracle_live) =
-        build_registry(specs, &frozen_labels, &live_events);
+    let (mut oracle, spec_ids, oracle_live) = build_registry(specs, &frozen_labels, &live_events);
 
     let mut books: Vec<(SpecId, Vec<(RunId, usize)>)> = Vec::new();
     for (i, &id) in spec_ids.iter().enumerate() {
         let mut runs: Vec<(RunId, usize)> = Vec::new();
-        let fleet = oracle.fleet(id).expect("freshly built registries are resident");
+        let fleet = oracle
+            .fleet(id)
+            .expect("freshly built registries are resident");
         for rid in fleet.run_ids().collect::<Vec<_>>() {
             let n = fleet.vertex_count(rid).unwrap();
             if n > 0 {
@@ -157,8 +158,7 @@ fn served_answers_equal_direct_registry_under_pressure_and_freezes() {
     let frozen_for_builder = frozen_labels.clone();
     let live_for_builder = live_events.clone();
     let server = serve_sharded(config, 1, ShardPlan::new(), move |_, _| {
-        let (mut registry, _, live) =
-            build_registry(specs, &frozen_for_builder, &live_for_builder);
+        let (mut registry, _, live) = build_registry(specs, &frozen_for_builder, &live_for_builder);
         // live fleets are pinned; the four live-free fleets churn at once
         let budget = registry.resident_bytes() / 3;
         registry.set_budget(Some(budget))?;
@@ -317,11 +317,12 @@ fn sharded_served_answers_equal_direct_registry_under_pressure_and_freezes() {
         .collect();
 
     // --- oracle: one flat registry with every spec, probed directly -----
-    let (mut oracle, spec_ids, oracle_live) =
-        build_registry(specs, &frozen_labels, &live_events);
+    let (mut oracle, spec_ids, oracle_live) = build_registry(specs, &frozen_labels, &live_events);
     let mut books: Vec<(SpecId, Vec<(RunId, usize)>)> = Vec::new();
     for (i, &id) in spec_ids.iter().enumerate() {
-        let fleet = oracle.fleet(id).expect("freshly built registries are resident");
+        let fleet = oracle
+            .fleet(id)
+            .expect("freshly built registries are resident");
         let runs: Vec<(RunId, usize)> = fleet
             .run_ids()
             .collect::<Vec<_>>()
@@ -453,9 +454,9 @@ fn sharded_served_answers_equal_direct_registry_under_pressure_and_freezes() {
         shards_hit >= 2,
         "traffic must actually fan out across shards: {shards_hit}"
     );
-    let (evictions, lazy_loads) = registry_stats
-        .iter()
-        .fold((0u64, 0u64), |(e, l), s| (e + s.evictions, l + s.lazy_loads));
+    let (evictions, lazy_loads) = registry_stats.iter().fold((0u64, 0u64), |(e, l), s| {
+        (e + s.evictions, l + s.lazy_loads)
+    });
     assert!(
         evictions > 0 && lazy_loads > 0,
         "the per-shard budgets must force eviction/reload churn while serving"
@@ -519,8 +520,14 @@ fn sharded_failures_stay_on_their_shard() {
         SHARDS,
         plan,
         move |shard, shards| {
-            let (registry, _) =
-                build_shard_registry(specs, &frozen_for_builder, &[], &builder_plan, shard, shards);
+            let (registry, _) = build_shard_registry(
+                specs,
+                &frozen_for_builder,
+                &[],
+                &builder_plan,
+                shard,
+                shards,
+            );
             Ok((registry, ()))
         },
     )
@@ -639,8 +646,14 @@ fn sharded_shutdown_while_submitting_is_drained_and_typed() {
         SHARDS,
         plan,
         move |shard, shards| {
-            let (mut registry, _) =
-                build_shard_registry(specs, &frozen_for_builder, &[], &builder_plan, shard, shards);
+            let (mut registry, _) = build_shard_registry(
+                specs,
+                &frozen_for_builder,
+                &[],
+                &builder_plan,
+                shard,
+                shards,
+            );
             let mut book: Vec<(SpecId, Vec<(RunId, usize)>)> = Vec::new();
             for id in registry.spec_ids().collect::<Vec<_>>() {
                 registry.ensure_resident(id)?;

@@ -93,7 +93,8 @@ fn restored_fleet_is_byte_identical_over_a_million_probes() {
             "{kind}"
         );
         assert_eq!(
-            restored.stats().engine.skeleton_probes, 0,
+            restored.stats().engine.skeleton_probes,
+            0,
             "{kind}: restart re-probed the skeleton"
         );
     }
