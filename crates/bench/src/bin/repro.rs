@@ -15,7 +15,7 @@ use wfp_bench::{ReproOptions, Table};
 
 const EXPERIMENTS: &[&str] = &[
     "table1", "table2", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
-    "fig20", "baseline",
+    "fig20", "baseline", "ablation", "plan", "schemes",
 ];
 
 fn usage() -> ! {
@@ -61,6 +61,9 @@ fn run_one(name: &str, opts: &ReproOptions) -> std::io::Result<()> {
         "fig19" => experiments::fig19(opts),
         "fig20" => experiments::fig20(opts),
         "baseline" => experiments::baseline(opts),
+        "ablation" => experiments::ablation(opts),
+        "plan" => experiments::plan(opts),
+        "schemes" => experiments::schemes(opts),
         other => unreachable!("parse_args admits only listed experiments, not {other:?}"),
     };
     table.emit(&opts.out_dir, name)?;
@@ -120,8 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn all_is_the_twelve_paper_experiments() {
-        assert_eq!(EXPERIMENTS.len(), 12);
+    fn all_is_the_fifteen_experiments() {
+        assert_eq!(EXPERIMENTS.len(), 15);
         assert_eq!(parse("all").unwrap().1, EXPERIMENTS);
     }
 

@@ -6,13 +6,17 @@
 //! Amortized costs spread the specification-labeling cost over `k` runs
 //! (Table 2).
 
+use std::collections::VecDeque;
+use std::hint::black_box;
+
 use wfp_gen::{
     generate_run_with_target, generate_spec, random_pairs, real_workflows, stand_in, GeneratedRun,
     SpecGenConfig,
 };
-use wfp_graph::TransitiveClosure;
+use wfp_graph::traversal::{bfs_reaches, VisitMap};
+use wfp_graph::{DiGraph, TransitiveClosure};
 use wfp_model::{Run, Specification};
-use wfp_skl::LabeledRun;
+use wfp_skl::{construct_plan, LabeledRun};
 use wfp_speclabel::TreeExpansion;
 use wfp_speclabel::{SchemeKind, SpecIndex, SpecScheme};
 
@@ -21,7 +25,7 @@ use crate::table::{fmt_f64, Table};
 use crate::timing::{predicate_time_ms, query_time_ms, time_ms};
 
 /// The §8.2 synthetic specification: `n_G=100, m_G=200, |T_G|=10, [T_G]=4`.
-pub fn synthetic_spec(modules: usize) -> Specification {
+fn synthetic_spec(modules: usize) -> Specification {
     // first seed whose random layout realizes the exact parameters
     for seed in 0..10_000 {
         let cfg = SpecGenConfig {
@@ -39,7 +43,7 @@ pub fn synthetic_spec(modules: usize) -> Specification {
 }
 
 /// The QBLAST stand-in used by the first experiment set (§8.1).
-pub fn qblast_spec() -> Specification {
+fn qblast_spec() -> Specification {
     stand_in(
         real_workflows()
             .into_iter()
@@ -574,6 +578,204 @@ pub fn baseline(opts: &ReproOptions) -> Table {
     t
 }
 
+// ======================================================================
+// Extras: design ablations, ConstructPlan alone, the six spec schemes
+// ======================================================================
+
+/// The answers of `pred` on `pairs`. A table's variants differ in cost
+/// only, so each table requires theirs to be equal.
+fn answers<V: Copy>(pairs: &[(V, V)], mut pred: impl FnMut(V, V) -> bool) -> Vec<bool> {
+    pairs.iter().map(|&(u, v)| pred(u, v)).collect()
+}
+
+/// [`bfs_reaches`] with a visited buffer and a queue allocated for this one
+/// query: the baseline of the [`VisitMap`] ablation.
+fn fresh_bfs_reaches(g: &DiGraph, from: u32, to: u32) -> bool {
+    if from == to {
+        return true;
+    }
+    let mut visited = vec![false; g.vertex_count()];
+    let mut queue = VecDeque::from([from]);
+    visited[from as usize] = true;
+    while let Some(v) = queue.pop_front() {
+        for w in g.successors(v) {
+            if w == to {
+                return true;
+            }
+            if !std::mem::replace(&mut visited[w as usize], true) {
+                queue.push_back(w);
+            }
+        }
+    }
+    false
+}
+
+/// Extra experiment: two design choices against their naive alternative.
+/// πr's context short-circuit against always consulting the skeleton
+/// (BFS+SKL), which quantifies §8.2's "queries may frequently be answered
+/// using only the extended labels"; and the BFS scheme's epoch-stamped
+/// [`VisitMap`], reused across queries, against a fresh visited buffer per
+/// query.
+pub fn ablation(opts: &ReproOptions) -> Table {
+    let spec = synthetic_spec(100);
+    let size = if opts.quick { 12_800 } else { 25_600 };
+    let GeneratedRun { run, .. } = generate_run_with_target(&spec, 3, size);
+    let labeled = LabeledRun::build(
+        &spec,
+        SpecScheme::build(SchemeKind::Bfs, spec.graph()),
+        &run,
+    )
+    .unwrap();
+    let pairs = random_pairs(&run, opts.query_count().min(200_000), 9);
+    // πr's decision, but the skeleton is probed even when the context
+    // encoding alone decides the query
+    let always_consult = |u, v| {
+        let (a, b) = (labeled.label(u), labeled.label(v));
+        let skeleton = black_box(labeled.skeleton().reaches(a.origin.raw(), b.origin.raw()));
+        if (a.q2 < b.q2) != (a.q3 < b.q3) && a.q2 != b.q2 && a.q3 != b.q3 {
+            a.q1 < b.q1 && a.q3 > b.q3
+        } else {
+            skeleton
+        }
+    };
+    let (short_circuit_ms, _) = query_time_ms(&labeled, &pairs);
+    let (consult_ms, _) = predicate_time_ms(&pairs, always_consult);
+    assert!(
+        answers(&pairs, |u, v| labeled.reaches(u, v)) == answers(&pairs, always_consult),
+        "always consulting the skeleton changed an answer"
+    );
+
+    let spec = synthetic_spec(200);
+    let g = spec.graph();
+    let n = g.vertex_count() as u32;
+    let queries: Vec<(u32, u32)> = (0..n)
+        .flat_map(|u| [(u, (u * 7 + 3) % n), ((u * 5 + 1) % n, u)])
+        .cycle()
+        .take(opts.query_count())
+        .collect();
+    let (mut visit, mut queue) = (VisitMap::new(n as usize), VecDeque::new());
+    let mut reuse = |u, v| bfs_reaches(g, u, v, &mut visit, &mut queue);
+    let fresh = |u, v| fresh_bfs_reaches(g, u, v);
+    let (reused_ms, _) = predicate_time_ms(&queries, &mut reuse);
+    let (fresh_ms, _) = predicate_time_ms(&queries, fresh);
+    assert!(
+        answers(&queries, &mut reuse) == answers(&queries, fresh),
+        "a fresh visited buffer changed a BFS answer"
+    );
+
+    let mut t = Table::new(
+        "Extra: Design Ablations (ns/query)",
+        &["choice", "variant", "ns/query"],
+    );
+    for (choice, variant, ms) in [
+        ("short-circuit", "on (πr, paper)", short_circuit_ms),
+        ("short-circuit", "off (always skeleton)", consult_ms),
+        ("visited buffer", "VisitMap, reused", reused_ms),
+        ("visited buffer", "fresh per query", fresh_ms),
+    ] {
+        t.row(vec![choice.into(), variant.into(), fmt_f64(ms * 1e6)]);
+    }
+    t.note(format!(
+        "short-circuit: BFS+SKL on n_G=100, n_R={}, {} queries",
+        run.vertex_count(),
+        pairs.len()
+    ));
+    t.note(format!(
+        "visited buffer: BFS on the n_G=200 spec, {} queries",
+        queries.len()
+    ));
+    t.note("each pair of variants agrees on every query; expected: the paper's choice is faster");
+    t
+}
+
+/// Extra experiment: `ConstructPlan` (§5) alone, per run edge, on QBLAST
+/// and the §8.2 synthetic specification.
+pub fn plan(opts: &ReproOptions) -> Table {
+    let specs = [qblast_spec(), synthetic_spec(100)];
+    let mut t = Table::new(
+        "Extra: ConstructPlan Alone (ns/run edge)",
+        &["run size", "QBLAST", "n_G=100"],
+    );
+    for size in opts.ladder().into_iter().filter(|&size| size >= 1_600) {
+        let mut cells = vec![size_label(size)];
+        for spec in &specs {
+            let GeneratedRun { run, plan: truth } = generate_run_with_target(spec, 13, size);
+            assert!(
+                construct_plan(spec, &run).unwrap().equivalent(&truth, spec),
+                "ConstructPlan recovered another plan than the one that generated the {} run",
+                size_label(size)
+            );
+            let ms = time_ms(opts.time_reps(), || {
+                black_box(construct_plan(spec, &run).unwrap());
+            });
+            cells.push(fmt_f64(ms * 1e6 / run.edge_count() as f64));
+        }
+        t.row(cells);
+    }
+    t.note("every recovered plan is equivalent to the one that generated its run");
+    t.note("expected shape: flat (ConstructPlan is linear in the run size, §5.3)");
+    t
+}
+
+/// Extra experiment: the six specification schemes on the §8.2 synthetic
+/// specification — build time, spec-level query time, and SKL query time
+/// with each as the skeleton (§8.2: "SKL is insensitive to the quality of
+/// the labeling scheme used to label the specification").
+pub fn schemes(opts: &ReproOptions) -> Table {
+    let spec = synthetic_spec(100);
+    let n = spec.module_count();
+    // every ordered module pair, cycled to the query count
+    let module_pairs: Vec<(u32, u32)> = (0..opts.query_count())
+        .map(|i| ((i % n) as u32, (i / n % n) as u32))
+        .collect();
+    let GeneratedRun { run, .. } = generate_run_with_target(&spec, 3, 12_800);
+    let run_pairs = random_pairs(&run, opts.query_count().min(200_000), 5);
+    // a spec index builds in microseconds, so time many builds
+    let build_reps = 100 * opts.time_reps();
+    let mut t = Table::new(
+        format!(
+            "Extra: Specification Schemes (n_G = 100, SKL on n_R = {})",
+            run.vertex_count()
+        ),
+        &["scheme", "build (µs)", "spec query (ns)", "SKL query (ns)"],
+    );
+    let label =
+        |kind| LabeledRun::build(&spec, SpecScheme::build(kind, spec.graph()), &run).unwrap();
+    let answers_of = |labeled: &LabeledRun<SpecScheme>| {
+        (
+            answers(&module_pairs, |u, v| labeled.skeleton().reaches(u, v)),
+            answers(&run_pairs, |u, v| labeled.reaches(u, v)),
+        )
+    };
+    let tcm_answers = answers_of(&label(SchemeKind::Tcm));
+    for kind in SchemeKind::ALL {
+        let build_ms = time_ms(build_reps, || {
+            black_box(SpecScheme::build(kind, spec.graph()));
+        });
+        let labeled = label(kind);
+        let index = labeled.skeleton();
+        let (spec_ms, _) = predicate_time_ms(&module_pairs, |u, v| index.reaches(u, v));
+        let (skl_ms, _) = query_time_ms(&labeled, &run_pairs);
+        assert!(
+            answers_of(&labeled) == tcm_answers,
+            "{kind} disagrees with TCM on a query"
+        );
+        t.row(vec![
+            kind.to_string(),
+            fmt_f64(build_ms * 1e3),
+            fmt_f64(spec_ms * 1e6),
+            fmt_f64(skl_ms * 1e6),
+        ]);
+    }
+    t.note(format!(
+        "{} module pairs, {} run pairs; every scheme agrees with TCM on each",
+        module_pairs.len(),
+        run_pairs.len()
+    ));
+    t.note("expected shape: spec query times spread widely, SKL query times much less (§8.2)");
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,5 +825,31 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("0.1K"));
         assert!(rendered.contains("12.8K"));
+    }
+
+    // The three extras below panic if their variants disagree on a query,
+    // so each run checks that agreement too.
+
+    #[test]
+    fn ablation_has_two_pairs_of_variants() {
+        let t = ablation(&tiny());
+        assert_eq!(t.len(), 4);
+        let rendered = t.render();
+        assert!(rendered.contains("short-circuit"));
+        assert!(rendered.contains("visited buffer"));
+    }
+
+    #[test]
+    fn plan_rows_cover_the_ladder_from_1_6k() {
+        let t = plan(&tiny());
+        assert_eq!(t.len(), 4, "1.6K to 12.8K in quick mode");
+        assert!(t.render().contains("1.6K"));
+    }
+
+    #[test]
+    fn schemes_has_a_row_per_scheme() {
+        let t = schemes(&tiny());
+        assert_eq!(t.len(), SchemeKind::ALL.len());
+        assert!(t.render().contains("2Hop"));
     }
 }

@@ -8,7 +8,10 @@
 //! ```
 //!
 //! Each experiment prints the same rows/series the paper reports and writes
-//! a copy under `results/`. Criterion microbenches live in `benches/`.
+//! a copy under `results/`. Three extras time what the figures do not:
+//! design ablations (`ablation`), `ConstructPlan` alone (`plan`) and the six
+//! specification schemes (`schemes`); each checks that its variants agree
+//! on every answer.
 //!
 //! Absolute numbers differ from the paper (Rust on this machine vs. Java on
 //! a 2006 Pentium); the reproduction targets are the *shapes*: logarithmic

@@ -40,9 +40,10 @@ pub fn query_time_ms<S: SpecIndex>(
     (elapsed / pairs.len().max(1) as f64, black_box(positive))
 }
 
-/// Average milliseconds per query for an arbitrary predicate closure.
-pub fn predicate_time_ms<F: FnMut(RunVertexId, RunVertexId) -> bool>(
-    pairs: &[(RunVertexId, RunVertexId)],
+/// Average milliseconds per query for an arbitrary predicate closure, over
+/// run-vertex or spec-module pairs alike.
+pub fn predicate_time_ms<V: Copy, F: FnMut(V, V) -> bool>(
+    pairs: &[(V, V)],
     mut pred: F,
 ) -> (f64, usize) {
     let start = Instant::now();

@@ -68,7 +68,7 @@ shards. MIX is uniform (default) or zipf:SKEW, which skews the spec mix
 onto a hot head shard. The report shows sustained throughput, the
 batch-size histogram, per-shard load and per-scheme p50/p99 serve
 latency.
-A flag the command does not take is an error.";
+A flag the command does not take, or one given twice, is an error.";
 
 struct Args {
     positional: Vec<String>,
@@ -96,23 +96,27 @@ fn accepted_flags(command: &str) -> Option<&'static str> {
     })
 }
 
+/// Splits `argv` into positional arguments and `--name value` / `-n value`
+/// flags; a flag given twice is an error, like a flag without a value.
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut flags = std::collections::HashMap::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
-        } else if let Some(name) = a.strip_prefix('-') {
-            if name.len() == 1 {
-                let value = it.next().ok_or_else(|| format!("-{name} needs a value"))?;
-                flags.insert(name.to_string(), value.clone());
-            } else {
-                return Err(format!("unknown flag {a}"));
-            }
-        } else {
-            positional.push(a.clone());
+        let name = match a.strip_prefix("--") {
+            Some(name) => name,
+            None => match a.strip_prefix('-') {
+                Some(name) if name.len() == 1 => name,
+                Some(_) => return Err(format!("unknown flag {a}")),
+                None => {
+                    positional.push(a.clone());
+                    continue;
+                }
+            },
+        };
+        let value = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        if flags.insert(name.to_string(), value.clone()).is_some() {
+            return Err(format!("{a} given more than once"));
         }
     }
     Ok(Args { positional, flags })

@@ -40,8 +40,8 @@ use wfp_model::io::{
 use wfp_model::{Run, RunVertexId, Specification};
 use wfp_skl::fleet::{FleetEngine, RunId};
 use wfp_skl::{
-    construct_plan_with_stats, label_run, LabeledRun, LiveRun, QueryEngine, QueryPath, RunLabel,
-    SpecContext, SpecId,
+    construct_plan_with_stats, label_run, LabeledRun, LiveRun, QueryEngine, QueryPath,
+    RegistryError, RunLabel, ServiceRegistry, SpecContext, SpecId,
 };
 use wfp_speclabel::{SchemeKind, SpecScheme};
 
@@ -827,6 +827,53 @@ pub fn parse_budget(text: &str) -> Result<usize, CliError> {
         .ok_or_else(|| format!("--budget {text:?} overflows").into())
 }
 
+/// The spec set `wfp registry` and `wfp serve` build: the spec XMLs at
+/// `spec_paths`, then `gen_specs` generated specs, each with
+/// `runs_per_spec` generated runs of about `target` vertices. An empty set
+/// is an error.
+fn build_spec_set(
+    spec_paths: &[&Path],
+    gen_specs: usize,
+    runs_per_spec: usize,
+    target: usize,
+    seed: u64,
+) -> Result<Vec<(Specification, Vec<GeneratedRun>)>, CliError> {
+    let specs = spec_paths
+        .iter()
+        .map(|p| load_spec(p))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut set: Vec<_> = specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let fleet_seed = seed ^ (i as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95);
+            let fleet = generate_fleet(&spec, fleet_seed, runs_per_spec, target);
+            (spec, fleet)
+        })
+        .collect();
+    let generated = wfp_gen::generate_registry(seed, gen_specs, runs_per_spec, target);
+    set.extend(generated.specs.into_iter().zip(generated.fleets));
+    if set.is_empty() {
+        return Err("no specs: pass spec.xml files, --gen-specs N, or --load DIR".into());
+    }
+    Ok(set)
+}
+
+/// Makes spec `id` resident and returns what its probes address: each of
+/// its runs with the run's vertex count, empty runs left out.
+fn probe_book(
+    registry: &mut ServiceRegistry<'_>,
+    id: SpecId,
+) -> Result<Vec<(RunId, usize)>, RegistryError> {
+    registry.ensure_resident(id)?;
+    let fleet = registry.fleet(id).expect("just made resident");
+    Ok(fleet
+        .run_ids()
+        .map(|r| (r, fleet.vertex_count(r).expect("active id")))
+        .filter(|&(_, n)| n > 0)
+        .collect())
+}
+
 /// Options for [`cmd_registry`].
 pub struct RegistryOpts<'a> {
     /// Specification XML files to serve (one fleet each).
@@ -867,7 +914,6 @@ pub struct RegistryOpts<'a> {
 ///
 /// [`ServiceRegistry`]: wfp_skl::registry::ServiceRegistry
 pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
-    use wfp_skl::registry::ServiceRegistry;
     let mut out = String::new();
 
     let mut registry: ServiceRegistry<'static> = if let Some(dir) = opts.load {
@@ -886,41 +932,18 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
         )?;
         registry
     } else {
-        let mut specs: Vec<Specification> = Vec::new();
-        for p in opts.spec_paths {
-            specs.push(load_spec(p)?);
-        }
-        let mut fleets: Vec<Vec<GeneratedRun>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                generate_fleet(
-                    spec,
-                    opts.seed ^ (i as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
-                    opts.runs_per_spec,
-                    opts.target,
-                )
-            })
-            .collect();
-        if opts.gen_specs > 0 {
-            let generated = wfp_gen::generate_registry(
-                opts.seed,
-                opts.gen_specs,
-                opts.runs_per_spec,
-                opts.target,
-            );
-            specs.extend(generated.specs);
-            fleets.extend(generated.fleets);
-        }
-        if specs.is_empty() {
-            return Err("no specs: pass spec.xml files, --gen-specs N, or --load DIR".into());
-        }
-
+        let set = build_spec_set(
+            opts.spec_paths,
+            opts.gen_specs,
+            opts.runs_per_spec,
+            opts.target,
+            opts.seed,
+        )?;
         let mut registry = ServiceRegistry::new();
         registry.set_budget(opts.budget)?;
         let started = std::time::Instant::now();
         let mut total_runs = 0usize;
-        for (i, (spec, fleet)) in specs.iter().zip(&fleets).enumerate() {
+        for (i, (spec, fleet)) in set.iter().enumerate() {
             let kind = SchemeKind::ALL[i % SchemeKind::ALL.len()];
             let id = registry.register_spec(spec, kind)?;
             for g in fleet {
@@ -934,7 +957,7 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
             out,
             "registry: {} specs ({} loaded, {} generated), {total_runs} runs, \
              schemes cycling {}",
-            specs.len(),
+            set.len(),
             opts.spec_paths.len(),
             opts.gen_specs,
             SchemeKind::ALL.map(|k| k.to_string()).join("/"),
@@ -951,13 +974,7 @@ pub fn cmd_registry(opts: &RegistryOpts<'_>) -> Result<String, CliError> {
         let cold = !registry.resident(id);
         let before = registry.stats();
         let started = std::time::Instant::now();
-        registry.ensure_resident(id)?;
-        let fleet = registry.fleet(id).expect("just made resident");
-        let book: Vec<(RunId, usize)> = fleet
-            .run_ids()
-            .map(|r| (r, fleet.vertex_count(r).expect("active id")))
-            .filter(|&(_, n)| n > 0)
-            .collect();
+        let book = probe_book(&mut registry, id)?;
         if cold {
             let after = registry.stats();
             writeln!(
@@ -1099,20 +1116,15 @@ pub struct ServeOpts<'a> {
 /// [`ServeStats`]: wfp_skl::ServeStats
 /// [`ShardPlan`]: wfp_skl::ShardPlan
 pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
-    use wfp_skl::registry::ServiceRegistry;
     use wfp_skl::{serve_sharded, Probe, ServeConfig, ServeError, ShardPlan};
 
     let mut out = String::new();
 
     // Spec loading, generation and labeling happen here, before the
     // server starts; their failures are CLI errors.
-    let mut specs: Vec<Specification> = Vec::new();
-    for p in opts.spec_paths {
-        specs.push(load_spec(p)?);
-    }
     let mut payload: Vec<(Specification, SchemeKind, Vec<Vec<RunLabel>>)> = Vec::new();
     if let Some(dir) = opts.load {
-        if !specs.is_empty() || opts.gen_specs > 0 {
+        if !opts.spec_paths.is_empty() || opts.gen_specs > 0 {
             return Err(
                 "--load serves a saved registry; drop the spec.xml arguments and --gen-specs"
                     .into(),
@@ -1121,33 +1133,15 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         writeln!(out, "serving saved registry at {}", dir.display())?;
     } else {
         let started = std::time::Instant::now();
-        let mut fleets: Vec<Vec<GeneratedRun>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                generate_fleet(
-                    spec,
-                    opts.seed ^ (i as u64 + 1).wrapping_mul(0xD134_2543_DE82_EF95),
-                    opts.runs_per_spec,
-                    opts.target,
-                )
-            })
-            .collect();
-        if opts.gen_specs > 0 {
-            let generated = wfp_gen::generate_registry(
-                opts.seed,
-                opts.gen_specs,
-                opts.runs_per_spec,
-                opts.target,
-            );
-            specs.extend(generated.specs);
-            fleets.extend(generated.fleets);
-        }
-        if specs.is_empty() {
-            return Err("no specs: pass spec.xml files, --gen-specs N, or --load DIR".into());
-        }
+        let set = build_spec_set(
+            opts.spec_paths,
+            opts.gen_specs,
+            opts.runs_per_spec,
+            opts.target,
+            opts.seed,
+        )?;
         let mut total_runs = 0usize;
-        for (i, (spec, fleet)) in specs.into_iter().zip(fleets).enumerate() {
+        for (i, (spec, fleet)) in set.into_iter().enumerate() {
             let kind = SchemeKind::ALL[i % SchemeKind::ALL.len()];
             let mut labeled = Vec::with_capacity(fleet.len());
             for g in &fleet {
@@ -1214,14 +1208,7 @@ pub fn cmd_serve(opts: &ServeOpts<'_>) -> Result<String, CliError> {
         let ids: Vec<SpecId> = registry.spec_ids().collect();
         let mut book: Book = Vec::with_capacity(ids.len());
         for id in ids {
-            registry.ensure_resident(id)?;
-            let fleet = registry.fleet(id).expect("just made resident");
-            let runs: Vec<(RunId, usize)> = fleet
-                .run_ids()
-                .map(|r| (r, fleet.vertex_count(r).expect("active id")))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            book.push((id, runs));
+            book.push((id, probe_book(&mut registry, id)?));
         }
         Ok((registry, book))
     })

@@ -400,6 +400,30 @@ fn registry_rejects_a_mistyped_flag() {
     );
 }
 
+/// A flag given twice is refused before any work, not resolved to the
+/// last value given.
+#[test]
+fn fleet_rejects_a_repeated_flag_and_saves_nothing() {
+    let (sp, _) = paper_files();
+    let dir = tmp("repeated-snap");
+    let _ = fs::remove_dir_all(&dir);
+    let sp = sp.to_str().unwrap();
+    let save = dir.to_str().unwrap();
+    let args = [
+        "fleet", sp, "--runs", "2", "--target", "40", "--probes", "10", "--seed", "1", "--seed",
+        "2", "--save", save,
+    ];
+    let out = wfp(&args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--seed given more than once"),
+        "stderr {stderr:?} must name the repeated flag"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} did work before failing");
+    assert!(!dir.exists(), "a rejected command wrote {save}");
+}
+
 // ---------------- wfp registry ----------------------------------------
 
 #[test]

@@ -6,7 +6,7 @@
 //! are small integers/tuples, for which SipHash's DoS resistance buys nothing
 //! and costs a lot — Fx is the standard fast alternative (see the Rust
 //! Performance Book's Hashing chapter). Implemented in-house to keep the
-//! dependency set minimal; `benches/ablation.rs` measures the difference.
+//! dependency set minimal.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
