@@ -707,20 +707,6 @@ impl<'s> FleetEngine<'s, SpecScheme> {
         Self::read_snapshot(&snapshot::SnapshotReader::parse(&bytes)?, &bytes)
     }
 
-    /// [`load_shared`](Self::load_shared) minus the per-payload CRC pass
-    /// ([`snapshot::SnapshotReader`]'s trusted parse): for callers that
-    /// can attest this *identical* buffer already passed a full
-    /// [`snapshot::SnapshotReader::parse`] — the registry rebinding a
-    /// retained `Arc` on an evict→reload cycle of an unmodified fleet,
-    /// where the reload then costs O(segments) instead of O(bytes), and
-    /// the registry binding a fetched buffer it checksummed before budget
-    /// pressure ran.
-    pub(crate) fn load_shared_trusted(
-        bytes: Arc<[u8]>,
-    ) -> Result<(Self, wfp_graph::DiGraph, FleetLoadProfile), snapshot::FormatError> {
-        Self::read_snapshot(&snapshot::SnapshotReader::parse_trusted(&bytes)?, &bytes)
-    }
-
     /// Every slot's decision counters `(context_only, skeleton_queries)`,
     /// in slot order (zeros for live and evicted slots) — captured by the
     /// registry before dropping a resident fleet so a later reload can

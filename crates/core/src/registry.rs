@@ -975,9 +975,12 @@ impl<'s> ServiceRegistry<'s> {
     /// Stamps `idx` most-recently-used and makes it resident, lazily
     /// loading (and cross-validating) its snapshot if it was offloaded.
     ///
-    /// The LRU stamp lands only once the slot is known resident: a failed
-    /// lazy load (missing snapshot, spec mismatch) must not reshuffle the
-    /// recency order the next eviction decision reads.
+    /// A fault-in runs fetch → checksum → bind and identity checks →
+    /// reserve → install, so every check runs before anyone is evicted: a
+    /// torn, grown, bit-flipped, forged or swapped snapshot fails with a
+    /// typed error and costs no healthy fleet its residency. The LRU stamp
+    /// lands only once the slot is resident, so a failed lazy load does
+    /// not reshuffle the recency order the next eviction decision reads.
     fn touch(&mut self, idx: usize) -> Result<(), RegistryError> {
         if matches!(self.slots[idx].state, State::Resident { .. }) {
             self.clock += 1;
@@ -993,23 +996,15 @@ impl<'s> ServiceRegistry<'s> {
             .as_ref()
             .is_some_and(|v| Arc::ptr_eq(v, &bytes));
         let started = Instant::now();
-        if !trusted {
-            // the checksum pass runs before anyone is evicted: a torn,
-            // grown or bit-flipped file fails here and costs no healthy
-            // fleet its residency
-            SnapshotReader::parse(&bytes)?;
-        }
-        let mut elapsed = started.elapsed();
-        // with checked bytes in hand, make room *before* the fleet faults
-        // in, using its size estimate (manifest-seeded, reconciled on
-        // every load/offload): the LRU byte math must see the incoming
-        // load, not discover it afterwards
-        self.reserve(idx)?;
-        let started = Instant::now();
-        let (fleet, graph, profile) = FleetEngine::load_shared_trusted(Arc::clone(&bytes))?;
-        elapsed += started.elapsed();
+        let reader = if trusted {
+            SnapshotReader::parse_trusted(&bytes)?
+        } else {
+            SnapshotReader::parse(&bytes)?
+        };
+        let (fleet, graph, profile) = FleetEngine::read_snapshot(&reader, &bytes)?;
+        let elapsed = started.elapsed();
         let loaded = SpecId::of(fleet.context().skeleton().kind(), &graph);
-        let slot = &mut self.slots[idx];
+        let slot = &self.slots[idx];
         if loaded != slot.id {
             return Err(RegistryError::SpecMismatch {
                 expected: slot.id,
@@ -1024,6 +1019,12 @@ impl<'s> ServiceRegistry<'s> {
                 "manifest scheme tag does not match snapshot",
             )));
         }
+        // with every check passed, make room before the fleet is
+        // installed, pricing it at its size estimate (manifest-seeded,
+        // reconciled on every load/offload): the LRU byte math must see
+        // the incoming fleet, not discover it afterwards
+        self.reserve(idx)?;
+        let slot = &mut self.slots[idx];
         if let Some(saved) = slot.saved_counters.take() {
             fleet.restore_counters(&saved);
         }
@@ -1747,6 +1748,98 @@ mod tests {
         assert!(!reg.resident(ids[1]));
         assert_eq!(reg.stats().evictions, 0);
         assert_eq!(reg.stats().lazy_loads, 1, "only A's load counts");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The paper spec under TCM (A) and BFS (B), one run each, saved to a
+    /// fresh directory; returns the directory, the two ids and a budget of
+    /// one and a half of A's resident footprint, which B's fault-in, priced
+    /// at its manifest size, overshoots while A is resident.
+    fn two_fleet_dir(name: &str) -> (std::path::PathBuf, [SpecId; 2], usize) {
+        let spec = paper_spec();
+        let mut reg = ServiceRegistry::new();
+        let ids = [SchemeKind::Tcm, SchemeKind::Bfs].map(|kind| {
+            let id = reg.register_spec(&spec, kind).unwrap();
+            reg.register_labels(id, &labels(&spec, kind)).unwrap();
+            id
+        });
+        let dir = tmp(name);
+        reg.save_dir(&dir).unwrap();
+        let mut probe = ServiceRegistry::open_dir(&dir, None).unwrap();
+        probe.ensure_resident(ids[0]).unwrap();
+        let budget = probe.resident_bytes() * 3 / 2;
+        let manifest = read_manifest(&std::fs::read(dir.join(MANIFEST_FILE)).unwrap()).unwrap();
+        let m_b = manifest.iter().find(|e| e.id == ids[1]).unwrap().bytes;
+        assert!(
+            probe.resident_bytes() + m_b > budget,
+            "fixture: B's fault-in would not need a victim"
+        );
+        (dir, ids, budget)
+    }
+
+    /// Reopens `dir` under `budget`, faults A in, then probes B, whose
+    /// snapshot the caller has tampered with: the probe must fail with an
+    /// error `expected` accepts and leave every counter as it was, A
+    /// still resident.
+    fn rejected_fault_in_keeps_a_resident(
+        dir: &Path,
+        ids: [SpecId; 2],
+        budget: usize,
+        expected: impl FnOnce(&RegistryError) -> bool,
+    ) {
+        let mut reg = ServiceRegistry::open_dir(dir, Some(budget)).unwrap();
+        reg.ensure_resident(ids[0]).unwrap();
+        let before = reg.stats();
+        assert_eq!((before.resident, before.evictions), (1, 0));
+        let err = reg
+            .answer(ids[1], RunId(0), RunVertexId(0), RunVertexId(0))
+            .unwrap_err();
+        assert!(expected(&err), "unexpected error {err:?}");
+        assert_eq!(reg.stats(), before, "a rejected snapshot evicted a fleet");
+        assert!(reg.resident(ids[0]) && !reg.resident(ids[1]));
+    }
+
+    /// A snapshot that passes its checksums but holds another spec is
+    /// rejected before budget pressure runs.
+    #[test]
+    fn swapped_snapshot_fails_its_fault_in_without_evicting() {
+        let (dir, ids, budget) = two_fleet_dir("swapped-no-evict");
+        std::fs::copy(dir.join(ids[0].file_name()), dir.join(ids[1].file_name())).unwrap();
+        rejected_fault_in_keeps_a_resident(&dir, ids, budget, |e| {
+            matches!(e, RegistryError::SpecMismatch { expected, loaded }
+                if *expected == ids[1] && *loaded == ids[0])
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A packed run whose stored origin bound is forged, re-serialized so
+    /// every CRC is valid, fails at bind, before budget pressure runs.
+    #[test]
+    fn forged_origin_bound_fails_its_fault_in_without_evicting() {
+        let (dir, ids, budget) = two_fleet_dir("forged-bound-no-evict");
+        let path = dir.join(ids[1].file_name());
+        let bytes = std::fs::read(&path).unwrap();
+        let mut w = snapshot::SnapshotWriter::new();
+        let mut forged = false;
+        for &(kind, payload) in SnapshotReader::parse(&bytes).unwrap().segments() {
+            let mut payload = payload.to_vec();
+            if kind == snapshot::seg::PACKED_COLUMNS_ALIGNED && !forged {
+                let bound = u32::from_le_bytes(payload[32..36].try_into().unwrap());
+                payload[32..36].copy_from_slice(&(bound + 1).to_le_bytes());
+                forged = true;
+            }
+            w.push(kind, payload);
+        }
+        assert!(forged, "fixture: B holds a packed run");
+        write_file(&path, &w.finish()).unwrap();
+        rejected_fault_in_keeps_a_resident(&dir, ids, budget, |e| {
+            matches!(
+                e,
+                RegistryError::Format(FormatError::Malformed(
+                    "aligned origin bound does not match the stored column"
+                ))
+            )
+        });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -532,8 +532,7 @@ impl<'a> SnapshotReader<'a> {
     /// callers that can attest the *identical* buffer already passed a
     /// full [`parse`](Self::parse) — e.g. the registry rebinding a
     /// retained `Arc` it validated on a previous fault-in, so a reload
-    /// of an unmodified fleet costs O(segments), not O(bytes), or binding
-    /// a buffer it checksummed itself before making room for it.
+    /// of an unmodified fleet skips the O(bytes) checksum.
     pub(crate) fn parse_trusted(bytes: &'a [u8]) -> Result<Self, FormatError> {
         Self::parse_with(bytes, false)
     }
